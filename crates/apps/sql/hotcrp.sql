@@ -249,20 +249,3 @@ CREATE TABLE DeletedContactInfo (
     email TEXT PII,
     deletedAt INT NOT NULL DEFAULT 0
 );
-
-CREATE INDEX review_by_contact ON Review (contactId);
-CREATE INDEX review_by_paper ON Review (paperId);
-CREATE INDEX conflict_by_contact ON PaperConflict (contactId);
-CREATE INDEX conflict_by_paper ON PaperConflict (paperId);
-CREATE INDEX pref_by_contact ON ReviewPreference (contactId);
-CREATE INDEX comment_by_contact ON PaperComment (contactId);
-CREATE INDEX comment_by_paper ON PaperComment (paperId);
-CREATE INDEX rating_by_contact ON ReviewRating (contactId);
-CREATE INDEX rating_by_review ON ReviewRating (reviewId);
-CREATE INDEX interest_by_contact ON TopicInterest (contactId);
-CREATE INDEX watch_by_contact ON PaperWatch (contactId);
-CREATE INDEX capability_by_contact ON Capability (contactId);
-CREATE INDEX session_by_contact ON ContactSession (contactId);
-CREATE INDEX log_by_contact ON ActionLog (contactId);
-CREATE INDEX refused_by_contact ON PaperReviewRefused (contactId);
-CREATE INDEX archive_by_contact ON PaperReviewArchive (contactId);

@@ -197,16 +197,3 @@ CREATE TABLE keystores (
     keyname TEXT NOT NULL UNIQUE,
     keyvalue INT NOT NULL DEFAULT 0
 );
-
-CREATE INDEX stories_by_user ON stories (user_id);
-CREATE INDEX comments_by_user ON comments (user_id);
-CREATE INDEX comments_by_story ON comments (story_id);
-CREATE INDEX votes_by_user ON votes (user_id);
-CREATE INDEX votes_by_story ON votes (story_id);
-CREATE INDEX votes_by_comment ON votes (comment_id);
-CREATE INDEX messages_by_author ON messages (author_user_id);
-CREATE INDEX messages_by_recipient ON messages (recipient_user_id);
-CREATE INDEX hidden_by_user ON hidden_stories (user_id);
-CREATE INDEX saved_by_user ON saved_stories (user_id);
-CREATE INDEX ribbons_by_user ON read_ribbons (user_id);
-CREATE INDEX taggings_by_story ON taggings (story_id);

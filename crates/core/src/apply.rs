@@ -31,7 +31,7 @@ use edna_vault::{MemoryStore, RevealOp, TieredVault, Vault, VaultEntry, VaultJou
 use crate::analysis::{plan_composition, CompositionPlan};
 use crate::analyze::{self, Diagnostic};
 use crate::error::{Error, Result};
-use crate::history::HistoryLog;
+use crate::history::{HistoryLog, HISTORY_TABLE};
 use crate::placeholder::create_placeholders;
 use crate::spec::{validate_spec, DisguiseSpec, PredicatedTransform, Transformation};
 
@@ -281,9 +281,25 @@ pub struct Disguiser {
     pub options: ApplyOptions,
 }
 
+/// The placeholder RNG seed of a fresh state.
+const BASE_SEED: u64 = 0xED4A;
+
+/// The placeholder RNG seed for a disguiser opened over `db`: the base seed
+/// mixed with the state's WAL position and history length. A session that
+/// stored placeholders committed writes, which advanced the WAL position of
+/// a durable state (and the history of any state), so a reopened workspace
+/// draws a stream no earlier session drew — replaying one would redraw
+/// names `UNIQUE` columns already hold — while a given state always draws
+/// the same one. A fresh state keeps the base seed.
+fn placeholder_seed(db: &Database) -> u64 {
+    let history = db.row_count(HISTORY_TABLE).unwrap_or(0) as u64;
+    BASE_SEED ^ db.wal_last_lsn().rotate_left(32) ^ history
+}
+
 impl Disguiser {
     /// Creates a disguiser over `db` with default in-memory vaults
-    /// (plain global tier, encrypted per-user tier) and a fixed RNG seed.
+    /// (plain global tier, encrypted per-user tier) and an RNG seeded from
+    /// the state (see [`Disguiser::set_seed`] to pin it).
     pub fn new(db: Database) -> Disguiser {
         let vaults = TieredVault::new(
             Vault::plain(MemoryStore::new()),
@@ -295,13 +311,14 @@ impl Disguiser {
     /// Creates a disguiser with explicit vault tiers.
     pub fn with_vaults(db: Database, vaults: TieredVault) -> Disguiser {
         let history = HistoryLog::open(db.clone()).expect("history table creation");
+        let seed = placeholder_seed(&db);
         Disguiser {
             db,
             vaults,
             history,
             specs: RwLock::new(HashMap::new()),
             warnings: RwLock::new(HashMap::new()),
-            rng: Mutex::new(Prng::seed_from_u64(0xED4A)),
+            rng: Mutex::new(Prng::seed_from_u64(seed)),
             journal: Mutex::new(None),
             options: ApplyOptions::default(),
         }
@@ -1224,12 +1241,7 @@ impl Disguiser {
         optimize: bool,
         report: &mut DisguiseReport,
     ) -> Result<Vec<Recorrelated>> {
-        let events = self.history.events()?;
-        let priors: Vec<_> = events
-            .into_iter()
-            .filter(|e| !e.reverted && e.reversible)
-            .filter(|e| e.user_id.is_null() || e.user_id == *user_value)
-            .collect();
+        let priors = self.history.active_for(user_value)?;
         if priors.is_empty() {
             return Ok(Vec::new());
         }

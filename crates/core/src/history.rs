@@ -6,6 +6,8 @@
 //! keeps a disguise history table"), the log lives in the application
 //! database itself, in a reserved table.
 
+use std::collections::HashMap;
+
 use edna_relational::{Database, Value};
 
 use crate::error::{Error, Result};
@@ -55,6 +57,9 @@ impl HistoryLog {
                  )"
             ))?;
         }
+        // Apply-time composition and policy ticks read one user's events,
+        // so the log is probed on `userId`, never scanned.
+        ensure_index(&db, HISTORY_TABLE, "userId")?;
         Ok(HistoryLog { db })
     }
 
@@ -93,9 +98,10 @@ impl HistoryLog {
 
     /// Marks application `id` reverted.
     pub fn mark_reverted(&self, id: u64) -> Result<()> {
-        let n = self.db.execute(&format!(
-            "UPDATE {HISTORY_TABLE} SET reverted = TRUE WHERE id = {id}"
-        ))?;
+        let n = self.db.execute_with_params(
+            &format!("UPDATE {HISTORY_TABLE} SET reverted = TRUE WHERE id = $ID"),
+            &id_param(id),
+        )?;
         if n.affected == 0 {
             return Err(Error::NoSuchApplication(id));
         }
@@ -107,10 +113,12 @@ impl HistoryLog {
     /// reveal functions could not be persisted, so it must never be
     /// offered for reveal.
     pub fn mark_degraded(&self, id: u64, reason: &str) -> Result<()> {
-        let quoted = reason.replace('\'', "''");
-        let n = self.db.execute(&format!(
-            "UPDATE {HISTORY_TABLE} SET reversible = FALSE, note = '{quoted}' WHERE id = {id}"
-        ))?;
+        let mut params = id_param(id);
+        params.insert("NOTE".to_string(), Value::Text(reason.to_string()));
+        let n = self.db.execute_with_params(
+            &format!("UPDATE {HISTORY_TABLE} SET reversible = FALSE, note = $NOTE WHERE id = $ID"),
+            &params,
+        )?;
         if n.affected == 0 {
             return Err(Error::NoSuchApplication(id));
         }
@@ -119,7 +127,7 @@ impl HistoryLog {
 
     /// The event with the given id.
     pub fn get(&self, id: u64) -> Result<DisguiseEvent> {
-        self.events_where(&format!("id = {id}"))?
+        self.events_where("id = $ID", &id_param(id))?
             .into_iter()
             .next()
             .ok_or(Error::NoSuchApplication(id))
@@ -127,45 +135,74 @@ impl HistoryLog {
 
     /// All events, oldest first.
     pub fn events(&self) -> Result<Vec<DisguiseEvent>> {
-        self.events_where("TRUE")
+        self.events_where("TRUE", &HashMap::new())
     }
 
     /// Non-reverted, reversible events strictly older than `id` (candidates
     /// for apply-time composition, §4.2).
     pub fn active_before(&self, id: u64) -> Result<Vec<DisguiseEvent>> {
-        self.events_where(&format!(
-            "id < {id} AND reverted = FALSE AND reversible = TRUE"
-        ))
+        self.events_where(
+            "id < $ID AND reverted = FALSE AND reversible = TRUE",
+            &id_param(id),
+        )
+    }
+
+    /// Non-reverted, reversible events whose reveal functions cover
+    /// `user_id`'s data — the user's own plus every global one — oldest
+    /// first: the priors apply-time composition recorrelates (§4.2). Two
+    /// `userId` probes, so the cost follows the user's own history rather
+    /// than the length of the log.
+    pub fn active_for(&self, user_id: &Value) -> Result<Vec<DisguiseEvent>> {
+        const ACTIVE: &str = "reverted = FALSE AND reversible = TRUE";
+        let mut events =
+            self.events_where(&format!("userId IS NULL AND {ACTIVE}"), &HashMap::new())?;
+        if !user_id.is_null() {
+            events.extend(self.events_where(
+                &format!("userId = $USER AND {ACTIVE}"),
+                &user_param(user_id),
+            )?);
+            events.sort_by_key(|e| e.id);
+        }
+        Ok(events)
     }
 
     /// Non-reverted events strictly newer than `id` (the "relevant log
     /// interval" re-applied after a reveal, §4.2).
     pub fn active_after(&self, id: u64) -> Result<Vec<DisguiseEvent>> {
-        self.events_where(&format!("id > {id} AND reverted = FALSE"))
+        self.events_where("id > $ID AND reverted = FALSE", &id_param(id))
     }
 
     /// The most recent non-reverted application of `name` for `user_id`.
     pub fn latest(&self, name: &str, user_id: &Value) -> Result<Option<DisguiseEvent>> {
         let user_match = if user_id.is_null() {
-            "userId IS NULL".to_string()
+            "userId IS NULL"
         } else {
-            format!(
-                "userId = '{}'",
-                user_id.to_sql_literal().replace('\'', "''")
-            )
+            "userId = $USER"
         };
-        let mut events = self.events_where(&format!(
-            "name = '{}' AND {user_match} AND reverted = FALSE",
-            name.replace('\'', "''")
-        ))?;
+        let mut params = user_param(user_id);
+        params.insert("NAME".to_string(), Value::Text(name.to_string()));
+        let mut events = self.events_where(
+            &format!("name = $NAME AND {user_match} AND reverted = FALSE"),
+            &params,
+        )?;
         Ok(events.pop())
     }
 
-    fn events_where(&self, cond: &str) -> Result<Vec<DisguiseEvent>> {
-        let r = self.db.execute(&format!(
-            "SELECT id, name, userId, appliedAt, reversible, reverted, note \
-             FROM {HISTORY_TABLE} WHERE {cond} ORDER BY id"
-        ))?;
+    /// Events matching `cond`, oldest first. Conditions bind `$params`
+    /// rather than splice literals, so each helper is one cached
+    /// statement and its `id`/`userId` pins probe an index.
+    fn events_where(
+        &self,
+        cond: &str,
+        params: &HashMap<String, Value>,
+    ) -> Result<Vec<DisguiseEvent>> {
+        let r = self.db.execute_with_params(
+            &format!(
+                "SELECT id, name, userId, appliedAt, reversible, reverted, note \
+                 FROM {HISTORY_TABLE} WHERE {cond} ORDER BY id"
+            ),
+            params,
+        )?;
         r.rows
             .into_iter()
             .map(|row| {
@@ -184,6 +221,37 @@ impl HistoryLog {
             })
             .collect()
     }
+}
+
+fn id_param(id: u64) -> HashMap<String, Value> {
+    HashMap::from([("ID".to_string(), Value::Int(id as i64))])
+}
+
+/// Binds `$USER` to `user_id` as the history table stores it (its SQL
+/// literal, see [`HistoryLog::record`]); binds nothing for NULL.
+fn user_param(user_id: &Value) -> HashMap<String, Value> {
+    let mut params = HashMap::new();
+    if !user_id.is_null() {
+        params.insert("USER".to_string(), Value::Text(user_id.to_sql_literal()));
+    }
+    params
+}
+
+/// Indexes `table.column` unless some index already covers it, so a state
+/// written before a bookkeeping index existed gains it once, on its first
+/// open. Checking first keeps reopening an indexed state free of DDL: a
+/// replica bootstrapped from an indexed primary must log none of its own.
+pub fn ensure_index(db: &Database, table: &str, column: &str) -> Result<()> {
+    let indexed = db
+        .index_columns(table)?
+        .iter()
+        .any(|c| c.eq_ignore_ascii_case(column));
+    if !indexed {
+        db.execute(&format!(
+            "CREATE INDEX {table}_by_{column} ON {table} ({column})"
+        ))?;
+    }
+    Ok(())
 }
 
 /// Decodes the stored SQL-literal rendering of a user id back to a Value.
@@ -253,6 +321,62 @@ mod tests {
         // Irreversible c is not a composition candidate.
         let before2 = log.active_before(99).unwrap();
         assert!(!before2.iter().any(|e| e.id == c));
+    }
+
+    #[test]
+    fn active_for_is_the_users_and_the_global_events() {
+        let log = log();
+        let a = log.record("A", &Value::Int(1), 1, true).unwrap();
+        let g = log.record("G", &Value::Null, 2, true).unwrap();
+        log.record("A", &Value::Int(2), 3, true).unwrap();
+        log.record("A", &Value::Text("1".into()), 4, true).unwrap();
+        log.record("I", &Value::Int(1), 5, false).unwrap();
+        let b = log.record("B", &Value::Int(1), 6, true).unwrap();
+        let reverted = log.record("C", &Value::Int(1), 7, true).unwrap();
+        log.mark_reverted(reverted).unwrap();
+        let ids = |user: &Value| -> Vec<u64> {
+            log.active_for(user).unwrap().iter().map(|e| e.id).collect()
+        };
+        assert_eq!(ids(&Value::Int(1)), vec![a, g, b]);
+        assert_eq!(ids(&Value::Null), vec![g]);
+        // Exactly the events a filter over the whole log selects.
+        for user in [
+            Value::Int(1),
+            Value::Int(2),
+            Value::Text("1".into()),
+            Value::Null,
+        ] {
+            let filtered: Vec<u64> = log
+                .events()
+                .unwrap()
+                .into_iter()
+                .filter(|e| !e.reverted && e.reversible)
+                .filter(|e| e.user_id.is_null() || e.user_id == user)
+                .map(|e| e.id)
+                .collect();
+            assert_eq!(ids(&user), filtered, "user {user}");
+        }
+    }
+
+    #[test]
+    fn lookups_probe_the_log() {
+        let db = Database::new();
+        let log = HistoryLog::open(db.clone()).unwrap();
+        for i in 0..50 {
+            log.record("A", &Value::Int(i % 5), i, true).unwrap();
+        }
+        let g = log.record("G", &Value::Null, 99, true).unwrap();
+        db.reset_stats();
+        assert_eq!(log.active_for(&Value::Int(3)).unwrap().len(), 11);
+        assert!(log.latest("A", &Value::Int(4)).unwrap().is_some());
+        assert_eq!(log.latest("G", &Value::Null).unwrap().unwrap().id, g);
+        assert_eq!(log.get(g).unwrap().name, "G");
+        log.mark_reverted(g).unwrap();
+        log.mark_degraded(1, "it's down").unwrap();
+        let s = db.stats();
+        assert_eq!((s.index_probes, s.table_scans), (7, 0));
+        // One user's events, not the log's 51.
+        assert_eq!(s.rows_read, 11 + 10 + 1 + 1 + 1 + 1);
     }
 
     #[test]

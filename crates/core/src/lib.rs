@@ -54,7 +54,7 @@ pub use apply::{
 pub use edna_obs::{SpanRecord, Tracer};
 pub use error::{Error, Result};
 pub use guard::DisguisedRows;
-pub use history::{DisguiseEvent, HistoryLog, HISTORY_TABLE};
+pub use history::{ensure_index, DisguiseEvent, HistoryLog, HISTORY_TABLE};
 pub use policy::{
     is_policy_source, parse_policy, DecayPolicy, DecayStage, ExpirationPolicy, Policy, PolicyRun,
     Scheduler, TickOutcome,

@@ -553,6 +553,74 @@ tables: {
     }
 
     #[test]
+    fn reopened_workspace_draws_fresh_placeholder_names() {
+        const ANON: &str = r#"
+disguise_name: "Anon"
+user_to_disguise: $UID
+tables: {
+  users: { generate_placeholder: [ (username, Random) ] },
+  posts: { transformations: [ Decorrelate(pred: "user_id = $UID", foreign_key: (user_id, users)) ] },
+}
+"#;
+        // More placeholder names than the bounded redraw's 64 attempts:
+        // a session replaying this stream would exhaust it.
+        const USERS: i64 = 80;
+        let state = temp_state("reseed");
+        {
+            let ws = Workspace::init(&state, None).unwrap();
+            ws.db
+                .execute_script(
+                    "CREATE TABLE users (id INT PRIMARY KEY AUTO_INCREMENT, \
+                     username TEXT NOT NULL UNIQUE);
+                     CREATE TABLE posts (id INT PRIMARY KEY AUTO_INCREMENT, user_id INT NOT NULL, \
+                     FOREIGN KEY (user_id) REFERENCES users(id));",
+                )
+                .unwrap();
+            for i in 1..=USERS + 1 {
+                ws.db
+                    .execute(&format!("INSERT INTO users (username) VALUES ('user{i}')"))
+                    .unwrap();
+                ws.db
+                    .execute(&format!("INSERT INTO posts (user_id) VALUES ({i})"))
+                    .unwrap();
+            }
+            ws.register_spec(ANON).unwrap();
+            for i in 1..=USERS {
+                ws.edna.apply("Anon", Some(&Value::Int(i))).unwrap();
+            }
+        }
+        // Reopens the state, applies to the last user and returns the
+        // placeholder drawn for them.
+        let reopen_and_apply = || {
+            let ws = Workspace::open(&state, None).unwrap();
+            let report = ws.edna.apply("Anon", Some(&Value::Int(USERS + 1)));
+            assert_eq!(
+                report.map(|r| r.rows_decorrelated).unwrap(),
+                1,
+                "the reopened session must draw unused names"
+            );
+            ws.db
+                .execute("SELECT username FROM users ORDER BY id DESC LIMIT 1")
+                .unwrap()
+                .rows
+        };
+        // Keep the database files aside so the same state reopens twice.
+        let copy = temp_state("reseed_copy");
+        let copy_db = |from: &Path, to: &Path| {
+            for suffix in ["", ".wal"] {
+                std::fs::copy(sidecar(from, suffix), sidecar(to, suffix)).unwrap();
+            }
+        };
+        copy_db(&state, &copy);
+        let drawn = reopen_and_apply();
+        // Deterministic for a given state: it draws the same name again.
+        copy_db(&copy, &state);
+        assert_eq!(reopen_and_apply(), drawn);
+        cleanup(&state);
+        cleanup(&copy);
+    }
+
+    #[test]
     fn wrong_passphrase_cannot_reveal() {
         let state = temp_state("wrongpw");
         let disguise_id = {

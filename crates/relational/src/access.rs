@@ -31,20 +31,26 @@ impl AccessPath {
     }
 }
 
-/// Whether `pred` conjoins `column = <constant>`, where a constant is a
-/// literal or a `$param` (parameters become literals once bound, so the
-/// decision is identical before and after binding).
+/// Whether `pred` conjoins `column = <constant>` or `column IS NULL`,
+/// where a constant is a literal or a `$param` (parameters become literals
+/// once bound, so the decision is identical before and after binding).
+/// Indexes store NULL keys, so `IS NULL` probes for them like any value.
 pub(crate) fn pins_column(pred: &Expr, column: &str) -> bool {
+    let is_col =
+        |e: &Expr| matches!(e, Expr::Column { name, .. } if name.eq_ignore_ascii_case(column));
     match pred {
         Expr::Binary {
             op: BinOp::Eq,
             lhs,
             rhs,
         } => {
-            let is_col = |e: &Expr| matches!(e, Expr::Column { name, .. } if name.eq_ignore_ascii_case(column));
             let is_const = |e: &Expr| matches!(e, Expr::Literal(_) | Expr::Param(_));
             (is_col(lhs) && is_const(rhs)) || (is_const(lhs) && is_col(rhs))
         }
+        Expr::IsNull {
+            expr,
+            negated: false,
+        } => is_col(expr),
         Expr::Binary {
             op: BinOp::And,
             lhs,
@@ -90,14 +96,16 @@ mod tests {
     }
 
     #[test]
-    fn literal_and_param_equality_both_pin() {
+    fn literal_param_and_is_null_pins_all_probe() {
         let t = table();
         let lit = parse_expr("id = 5").unwrap();
         let param = parse_expr("id = $UID").unwrap();
         let conj = parse_expr("name = 'x' AND id = $UID").unwrap();
+        let null = parse_expr("name = 'x' AND id IS NULL").unwrap();
         assert!(choose_access_path(&t, Some(&lit)).is_probe());
         assert!(choose_access_path(&t, Some(&param)).is_probe());
         assert!(choose_access_path(&t, Some(&conj)).is_probe());
+        assert!(choose_access_path(&t, Some(&null)).is_probe());
     }
 
     #[test]
@@ -105,11 +113,16 @@ mod tests {
         let t = table();
         let unindexed = parse_expr("name = 'x'").unwrap();
         let range = parse_expr("id > 5").unwrap();
+        let not_null = parse_expr("id IS NOT NULL").unwrap();
         assert_eq!(
             choose_access_path(&t, Some(&unindexed)),
             AccessPath::FullScan
         );
         assert_eq!(choose_access_path(&t, Some(&range)), AccessPath::FullScan);
+        assert_eq!(
+            choose_access_path(&t, Some(&not_null)),
+            AccessPath::FullScan
+        );
         assert_eq!(choose_access_path(&t, None), AccessPath::FullScan);
     }
 }

@@ -1311,9 +1311,9 @@ impl Database {
         *read_unpoisoned(&self.latency)
     }
 
-    /// Names of the indexed columns of `table` (implicit PK/UNIQUE indexes
-    /// and explicit `CREATE INDEX`es), in index-creation order — the order
-    /// the executor tries them for predicate probes.
+    /// Names of the indexed columns of `table` (implicit PK/UNIQUE/FOREIGN
+    /// KEY indexes and explicit `CREATE INDEX`es), in index-creation order —
+    /// the order the executor tries them for predicate probes.
     pub fn index_columns(&self, table: &str) -> Result<Vec<String>> {
         let inner = self.inner_read();
         let t = inner.table(table)?;
@@ -1332,6 +1332,13 @@ impl Database {
             .iter()
             .map(|key| crate::snapshot::TableSnapshot::of(&inner.tables[key]))
             .collect())
+    }
+
+    /// Encodes the snapshot image straight from the live tables under one
+    /// read guard, with `watermark` as its WAL checkpoint position (used by
+    /// [`crate::snapshot::encode`]).
+    pub(crate) fn encode_snapshot(&self, watermark: u64) -> Vec<u8> {
+        crate::snapshot::encode_inner(&self.inner_read(), watermark)
     }
 
     /// Rebuilds a database from table images (used by [`crate::snapshot`]).
@@ -1389,13 +1396,7 @@ impl Database {
                 std::thread::yield_now();
                 continue;
             }
-            let watermark = w.last_lsn();
-            let snapshots: Vec<crate::snapshot::TableSnapshot> = inner
-                .table_order
-                .iter()
-                .map(|key| crate::snapshot::TableSnapshot::of(&inner.tables[key]))
-                .collect();
-            let data = crate::snapshot::encode_parts(inner.now, watermark, &snapshots);
+            let data = crate::snapshot::encode_inner(&inner, w.last_lsn());
             crate::snapshot::write_atomic(&data, path.as_ref())?;
             w.truncate()?;
             drop(inner);

@@ -992,6 +992,11 @@ impl Inner {
     ) -> Result<Vec<RowId>> {
         let t = self.table(child)?;
         let ccol = t.schema.require_column(&fk.column)?;
+        // NULL is referenced by nothing; an index stores NULL keys, so a
+        // probe for one would wrongly return the unattached children.
+        if key.is_null() {
+            return Ok(Vec::new());
+        }
         match t.index_on(ccol) {
             Some(ix) => {
                 stats.bump(&stats.index_probes, 1);

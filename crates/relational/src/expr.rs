@@ -319,9 +319,17 @@ impl Expr {
     }
 
     /// If this expression is a conjunction containing `column = <literal>`,
-    /// returns that literal. Used for index selection.
+    /// returns that literal; for `column IS NULL`, returns NULL (indexes
+    /// store NULL keys). Used for index selection.
     pub fn equality_constant(&self, column: &str) -> Option<Value> {
         match self {
+            Expr::IsNull {
+                expr,
+                negated: false,
+            } => match expr.as_ref() {
+                Expr::Column { name, .. } if name.eq_ignore_ascii_case(column) => Some(Value::Null),
+                _ => None,
+            },
             Expr::Binary {
                 op: BinOp::Eq,
                 lhs,
@@ -1006,6 +1014,10 @@ mod tests {
         assert_eq!(e.equality_constant("y"), None);
         let flipped = crate::parser::parse_expr("5 = x").unwrap();
         assert_eq!(flipped.equality_constant("X"), Some(Value::Int(5)));
+        let null = crate::parser::parse_expr("y > 2 AND x IS NULL").unwrap();
+        assert_eq!(null.equality_constant("x"), Some(Value::Null));
+        let not_null = crate::parser::parse_expr("x IS NOT NULL").unwrap();
+        assert_eq!(not_null.equality_constant("x"), None);
     }
 
     #[test]

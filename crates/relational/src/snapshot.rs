@@ -4,7 +4,7 @@
 //! (used by the `edna` CLI). The format is a self-contained binary
 //! encoding: magic + version, then per table the schema, AUTO_INCREMENT
 //! counter, explicitly created indexes, and all live rows. Implicit
-//! PK/UNIQUE indexes are rebuilt on load.
+//! PK/UNIQUE/FOREIGN KEY indexes are rebuilt on load.
 //!
 //! Format v3 additionally records each row's slot id and the table's slot
 //! count, so row ids survive a save/load cycle — the write-ahead log
@@ -21,6 +21,7 @@ use edna_util::sha256::{sha256, DIGEST_LEN};
 
 use crate::database::Database;
 use crate::error::{Error, Result};
+use crate::exec::Inner;
 use crate::schema::{ColumnDef, ForeignKey, ReferentialAction, TableSchema};
 use crate::storage::{RowId, Table};
 use crate::value::{DataType, Row, Value};
@@ -185,28 +186,45 @@ pub struct TableSnapshot {
     pub slots: usize,
 }
 
+/// The explicitly created indexes of `t` as `(name, column name, unique)`:
+/// the implicit `_auto_` PK/UNIQUE/FOREIGN KEY indexes are rebuilt from the
+/// schema by [`Table::new`], so images never carry them.
+fn explicit_indexes(t: &Table) -> Vec<(String, String, bool)> {
+    t.indexes
+        .iter()
+        .filter(|ix| !ix.name.starts_with("_auto_"))
+        .map(|ix| {
+            (
+                ix.name.clone(),
+                t.schema.columns[ix.column].name.clone(),
+                ix.unique,
+            )
+        })
+        .collect()
+}
+
 impl TableSnapshot {
-    /// The image of a live [`Table`], explicit indexes only (implicit
-    /// PK/UNIQUE indexes are rebuilt from the schema).
+    /// The image of a live [`Table`], explicit indexes only.
     pub(crate) fn of(t: &Table) -> TableSnapshot {
         TableSnapshot {
             schema: t.schema.clone(),
             next_auto: t.next_auto,
-            indexes: t
-                .indexes
-                .iter()
-                .filter(|ix| !ix.name.starts_with("_auto_"))
-                .map(|ix| {
-                    (
-                        ix.name.clone(),
-                        t.schema.columns[ix.column].name.clone(),
-                        ix.unique,
-                    )
-                })
-                .collect(),
+            indexes: explicit_indexes(t),
             rows: t.iter().map(|(id, r)| (id, r.clone())).collect(),
             slots: t.slot_count(),
         }
+    }
+
+    /// Writes this image (the payload of a WAL DDL redo record).
+    pub(crate) fn encode(&self, w: &mut Writer) {
+        encode_table(
+            w,
+            &self.schema,
+            self.next_auto,
+            &self.indexes,
+            self.slots,
+            self.rows.iter().map(|(id, row)| (*id, row)),
+        );
     }
 
     /// Materializes the image back into a [`Table`], preserving row ids.
@@ -231,13 +249,22 @@ impl TableSnapshot {
     }
 }
 
-/// Writes one table image (v3 layout). Shared by the snapshot body and the
-/// WAL's DDL redo records, so both stay decodable by one reader.
-pub(crate) fn encode_table(w: &mut Writer, t: &TableSnapshot) {
-    w.string(&t.schema.name);
+/// Writes one table image (v3 layout). The one encoder behind the snapshot
+/// body, which reads each live [`Table`] in place so a checkpoint copies no
+/// rows, and the WAL's DDL redo records, which carry a [`TableSnapshot`];
+/// [`decode_table`] reads both.
+fn encode_table<'r>(
+    w: &mut Writer,
+    schema: &TableSchema,
+    next_auto: i64,
+    indexes: &[(String, String, bool)],
+    slots: usize,
+    rows: impl Iterator<Item = (RowId, &'r Row)>,
+) {
+    w.string(&schema.name);
     // Columns.
-    w.u32(t.schema.columns.len() as u32);
-    for c in &t.schema.columns {
+    w.u32(schema.columns.len() as u32);
+    for c in &schema.columns {
         w.string(&c.name);
         w.string(c.ty.sql_name());
         w.u8(u8::from(c.not_null));
@@ -252,10 +279,10 @@ pub(crate) fn encode_table(w: &mut Writer, t: &TableSnapshot) {
             None => w.u8(0),
         }
     }
-    w.u32(t.schema.primary_key.map(|i| i as u32).unwrap_or(u32::MAX));
+    w.u32(schema.primary_key.map(|i| i as u32).unwrap_or(u32::MAX));
     // Foreign keys.
-    w.u32(t.schema.foreign_keys.len() as u32);
-    for fk in &t.schema.foreign_keys {
+    w.u32(schema.foreign_keys.len() as u32);
+    for fk in &schema.foreign_keys {
         w.string(&fk.column);
         w.string(&fk.parent_table);
         w.string(&fk.parent_column);
@@ -265,23 +292,28 @@ pub(crate) fn encode_table(w: &mut Writer, t: &TableSnapshot) {
             ReferentialAction::SetNull => 2,
         });
     }
-    w.i64(t.next_auto);
+    w.i64(next_auto);
     // Explicit indexes.
-    w.u32(t.indexes.len() as u32);
-    for (name, column, unique) in &t.indexes {
+    w.u32(indexes.len() as u32);
+    for (name, column, unique) in indexes {
         w.string(name);
         w.string(column);
         w.u8(u8::from(*unique));
     }
-    // Rows, addressed by slot id.
-    w.u64(t.slots as u64);
-    w.u32(t.rows.len() as u32);
-    for (id, row) in &t.rows {
-        w.u64(*id as u64);
+    // Rows, addressed by slot id; the count precedes them, so it is
+    // patched in once they are written.
+    w.u64(slots as u64);
+    let count_at = w.buf.len();
+    w.u32(0);
+    let mut count: u32 = 0;
+    for (id, row) in rows {
+        w.u64(id as u64);
         for v in row {
             w.value(v);
         }
+        count += 1;
     }
+    w.buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
 }
 
 /// Reads one table image. `version` selects the row layout: v2 rows carry
@@ -370,21 +402,29 @@ pub(crate) fn decode_table(r: &mut Reader<'_>, version: u8) -> Result<TableSnaps
 /// whereas a too-high watermark would silently skip a frame.
 pub fn encode(db: &Database) -> Result<Vec<u8>> {
     let watermark = db.wal_last_lsn();
-    let snapshots = db.snapshot_tables()?;
-    Ok(encode_parts(db.global_now(), watermark, &snapshots))
+    Ok(db.encode_snapshot(watermark))
 }
 
-/// Serializes pre-extracted parts of a database. Split out of [`encode`]
-/// so `Database::save` can build the image while holding the engine lock
-/// (checkpoint atomicity) without re-entering the lock per part.
-pub(crate) fn encode_parts(now: i64, watermark: u64, snapshots: &[TableSnapshot]) -> Vec<u8> {
+/// Serializes the engine state the caller holds locked, reading every table
+/// in place. Split out of [`encode`] so `Database::save` can build the
+/// image while holding the engine lock (checkpoint atomicity) without
+/// re-entering it.
+pub(crate) fn encode_inner(inner: &Inner, watermark: u64) -> Vec<u8> {
     let mut w = Writer::new();
     w.buf.extend_from_slice(MAGIC);
-    w.i64(now);
+    w.i64(inner.now);
     w.u64(watermark);
-    w.u32(snapshots.len() as u32);
-    for t in snapshots {
-        encode_table(&mut w, t);
+    w.u32(inner.table_order.len() as u32);
+    for key in &inner.table_order {
+        let t = &inner.tables[key];
+        encode_table(
+            &mut w,
+            &t.schema,
+            t.next_auto,
+            &explicit_indexes(t),
+            t.slot_count(),
+            t.iter(),
+        );
     }
     w.buf
 }
@@ -556,6 +596,24 @@ mod tests {
             before[1].slots,
             "insert should reuse the free slot"
         );
+    }
+
+    #[test]
+    fn live_tables_encode_like_copied_images() {
+        // A checkpoint reads the live tables in place; a WAL DDL record
+        // encodes a copied image. Both must write the same bytes.
+        let db = sample();
+        db.execute("DELETE FROM posts WHERE id = 1").unwrap();
+        let mut w = Writer::new();
+        w.buf.extend_from_slice(MAGIC);
+        w.i64(db.global_now());
+        w.u64(db.wal_last_lsn());
+        let images = db.snapshot_tables().unwrap();
+        w.u32(images.len() as u32);
+        for image in &images {
+            image.encode(&mut w);
+        }
+        assert_eq!(encode(&db).unwrap(), w.buf);
     }
 
     #[test]

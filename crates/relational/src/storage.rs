@@ -92,7 +92,7 @@ pub struct Table {
     free: Vec<RowId>,
     /// Next AUTO_INCREMENT value.
     pub next_auto: i64,
-    /// Secondary indexes (including the implicit PK/UNIQUE indexes).
+    /// Secondary indexes (including the implicit PK/UNIQUE/FOREIGN KEY ones).
     pub indexes: Vec<Index>,
     /// Number of live rows.
     live: usize,
@@ -100,16 +100,25 @@ pub struct Table {
 
 impl Table {
     /// Creates an empty table, building implicit indexes for the primary key
-    /// and every UNIQUE column.
+    /// and every UNIQUE column, then a non-unique one for every FOREIGN KEY
+    /// column those leave unindexed (InnoDB's rule: a referencing column
+    /// always has an access path, so child lookups and `fk = $X`
+    /// predicates probe rather than scan). Implicit indexes are named
+    /// `_auto_<table>_<column>`; snapshots skip them and rebuild them here.
     pub fn new(schema: TableSchema) -> Table {
+        let auto = |col: &str| format!("_auto_{}_{col}", schema.name);
         let mut indexes = Vec::new();
         for (i, col) in schema.columns.iter().enumerate() {
             if col.unique || schema.primary_key == Some(i) {
-                indexes.push(Index::new(
-                    format!("_auto_{}_{}", schema.name, col.name),
-                    i,
-                    true,
-                ));
+                indexes.push(Index::new(auto(&col.name), i, true));
+            }
+        }
+        for fk in &schema.foreign_keys {
+            let Some(i) = schema.column_index(&fk.column) else {
+                continue;
+            };
+            if !indexes.iter().any(|ix| ix.column == i) {
+                indexes.push(Index::new(auto(&schema.columns[i].name), i, false));
             }
         }
         Table {
@@ -394,6 +403,34 @@ mod tests {
         t.replace(a, vec![Value::Int(5), Value::Null]);
         assert!(t.index_on(0).unwrap().lookup(&Value::Int(1)).is_empty());
         assert_eq!(t.index_on(0).unwrap().lookup(&Value::Int(5)), &[a]);
+    }
+
+    #[test]
+    fn foreign_key_columns_get_one_implicit_index() {
+        let mut s = TableSchema::new("c");
+        s.columns
+            .push(ColumnDef::new("id", DataType::Int).not_null().unique());
+        s.columns.push(ColumnDef::new("owner", DataType::Int));
+        s.columns.push(ColumnDef::new("parent", DataType::Int));
+        s.primary_key = Some(0);
+        for (column, parent) in [("owner", "u"), ("parent", "c"), ("id", "u")] {
+            s.foreign_keys.push(crate::schema::ForeignKey {
+                column: column.into(),
+                parent_table: parent.into(),
+                parent_column: "id".into(),
+                on_delete: crate::schema::ReferentialAction::Restrict,
+            });
+        }
+        let mut t = Table::new(s);
+        // The PK already indexes `id`; `owner` and `parent` gain one each.
+        let names: Vec<&str> = t.indexes.iter().map(|ix| ix.name.as_str()).collect();
+        assert_eq!(names, ["_auto_c_id", "_auto_c_owner", "_auto_c_parent"]);
+        assert!(!t.index_on(1).unwrap().unique);
+        let a = t.insert_unchecked(vec![Value::Int(1), Value::Int(7), Value::Null]);
+        let b = t.insert_unchecked(vec![Value::Int(2), Value::Int(7), Value::Int(1)]);
+        assert_eq!(t.index_on(1).unwrap().lookup(&Value::Int(7)), &[a, b]);
+        // NULL keys are stored, so `IS NULL` can probe.
+        assert_eq!(t.index_on(2).unwrap().lookup(&Value::Null), &[a]);
     }
 
     #[test]

@@ -1277,7 +1277,7 @@ fn encode_op(w: &mut Writer, op: &RedoOp) {
         }
         RedoOp::CreateTable { image } => {
             w.u8(3);
-            snapshot::encode_table(w, image);
+            image.encode(w);
         }
         RedoOp::DropTable { name } => {
             w.u8(4);
@@ -1286,7 +1286,7 @@ fn encode_op(w: &mut Writer, op: &RedoOp) {
         RedoOp::AlterTable { name, image } => {
             w.u8(5);
             w.string(name);
-            snapshot::encode_table(w, image);
+            image.encode(w);
         }
         RedoOp::CreateIndex {
             table,

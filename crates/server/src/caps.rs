@@ -13,14 +13,17 @@
 //! The CLI, which runs with filesystem access to the state (and the
 //! vault passphrase), is trusted and does not go through this gate.
 
-use edna_core::{Error, Result};
+use std::collections::HashMap;
+
+use edna_core::{ensure_index, Error, Result};
 use edna_relational::{Database, Value};
 use edna_util::{hex, sha256::sha256};
 
 /// Reserved table persisting capability hashes, keyed by disguise id.
 pub const CAPS_TABLE: &str = "_edna_caps";
 
-/// Creates the capability table if this state has never served.
+/// Creates the capability table if this state has never served, and its
+/// `disguise_id` index if the state predates it.
 pub fn ensure_caps_table(db: &Database) -> Result<()> {
     if !db.has_table(CAPS_TABLE) {
         db.execute(&format!(
@@ -28,7 +31,7 @@ pub fn ensure_caps_table(db: &Database) -> Result<()> {
              disguise_id INT NOT NULL, cap_hash TEXT NOT NULL)"
         ))?;
     }
-    Ok(())
+    ensure_index(db, CAPS_TABLE, "disguise_id")
 }
 
 /// Mints a fresh 32-byte capability from the OS entropy pool. Fails
@@ -71,9 +74,10 @@ pub fn verify(db: &Database, disguise_id: u64, presented_hex: &str) -> Result<()
     let Some(presented) = hex::from_hex(presented_hex.trim()) else {
         return Err(Error::Workspace("capability is not valid hex".to_string()));
     };
-    let r = db.execute(&format!(
-        "SELECT cap_hash FROM {CAPS_TABLE} WHERE disguise_id = {disguise_id}"
-    ))?;
+    let r = db.execute_with_params(
+        &format!("SELECT cap_hash FROM {CAPS_TABLE} WHERE disguise_id = $ID"),
+        &HashMap::from([("ID".to_string(), Value::Int(disguise_id as i64))]),
+    )?;
     let Some(row) = r.rows.first() else {
         return Err(Error::Workspace(format!(
             "no capability registered for disguise {disguise_id}; it was not applied \
@@ -119,6 +123,22 @@ mod tests {
         // Garbage encoding.
         let err = verify(&db, 7, "zz-not-hex").unwrap_err().to_string();
         assert!(err.contains("not valid hex"), "got: {err}");
+    }
+
+    #[test]
+    fn verify_probes_the_disguise_id_index() {
+        let db = Database::new();
+        ensure_caps_table(&db).unwrap();
+        ensure_caps_table(&db).unwrap();
+        assert_eq!(db.index_columns(CAPS_TABLE).unwrap(), ["id", "disguise_id"]);
+        let mut token = String::new();
+        for id in 1..=20 {
+            token = store(&db, id, &mint().unwrap()).unwrap();
+        }
+        db.reset_stats();
+        verify(&db, 20, &token).unwrap();
+        let s = db.stats();
+        assert_eq!((s.index_probes, s.table_scans, s.rows_read), (1, 0, 1));
     }
 
     #[test]

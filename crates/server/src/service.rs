@@ -43,7 +43,8 @@ use crate::replica::{self, ReplicaShared};
 /// was sent the first time (capability header included).
 pub const REQUESTS_TABLE: &str = "_edna_requests";
 
-/// Creates the idempotency ledger if this state has never served.
+/// Creates the idempotency ledger if this state has never served, and its
+/// `idem_key` index if the state predates it.
 fn ensure_requests_table(db: &Database) -> edna_core::Result<()> {
     if !db.has_table(REQUESTS_TABLE) {
         db.execute(&format!(
@@ -51,7 +52,7 @@ fn ensure_requests_table(db: &Database) -> edna_core::Result<()> {
              idem_key TEXT NOT NULL, reply TEXT NOT NULL)"
         ))?;
     }
-    Ok(())
+    edna_core::ensure_index(db, REQUESTS_TABLE, "idem_key")
 }
 
 /// This node's place in a replication topology.

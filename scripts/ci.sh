@@ -18,6 +18,13 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace --quiet
 
+echo "==> wirebench (build + unit tests)"
+# The wire-level benchmark is a package of its own, outside the
+# workspace, built from these sources through path dependencies; build
+# and test it here so an engine API change cannot break it unnoticed.
+cargo build --release --offline --manifest-path wirebench/Cargo.toml
+cargo test --offline --manifest-path wirebench/Cargo.toml --quiet
+
 echo "==> edna check (static analysis over every bundled spec)"
 CHECK_DIR=$(mktemp -d)
 trap 'rm -rf "$CHECK_DIR"' EXIT
