@@ -206,14 +206,11 @@ fn cohort_env(users: usize, tag: &str, fsync_floor: Duration) -> (Database, Disg
     (db, edna, inst.user_ids)
 }
 
-/// Disguises the whole cohort one user at a time (auto-commit statements,
-/// the same transaction mode `apply_many` shards use).
+/// Disguises the whole cohort one user at a time (one transaction per
+/// user, the same transaction mode `apply_many` shards use).
 fn cohort_sequential(users: usize, fsync_floor: Duration) -> CohortRun {
     let (db, edna, ids) = cohort_env(users, "seq", fsync_floor);
-    let opts = ApplyOptions {
-        use_transaction: false,
-        ..ApplyOptions::default()
-    };
+    let opts = ApplyOptions::default();
     let fsyncs0 = counter(&db, "edna_wal_fsyncs_total");
     let t0 = Instant::now();
     let mut succeeded = 0;

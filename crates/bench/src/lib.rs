@@ -206,7 +206,8 @@ pub fn apply_many(env: &HotCrpEnv, users: &[i64], parallel: bool) -> Duration {
     let opts = ApplyOptions {
         compose: true,
         optimize: true,
-        // Parallel workers cannot share one explicit transaction.
+        // Transactions serialize on the engine gate; parallel workers
+        // auto-commit so their statements can interleave.
         use_transaction: !parallel,
         ..ApplyOptions::default()
     };

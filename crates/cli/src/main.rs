@@ -606,7 +606,11 @@ fn run(args: &[String]) -> CliResult<()> {
                 sync_replicas,
                 repl_gate_timeout: std::time::Duration::from_millis(repl_gate_ms.max(1)),
             };
-            let ws = Workspace::open(&state, passphrase)?;
+            let ws = if is_replica {
+                Workspace::open_replica(&state, passphrase)?
+            } else {
+                Workspace::open(&state, passphrase)?
+            };
             if let Some(boot) = &bootstrapped {
                 // The freshly opened workspace must land exactly where
                 // the primary said the shipped state ends.
@@ -653,9 +657,9 @@ fn run(args: &[String]) -> CliResult<()> {
             });
             let handle = edna_server::start(svc.clone(), config)
                 .map_err(|e| CliError::runtime(format!("cannot bind server: {e}")))?;
-            // The apply loop: reads the primary's live tail, applies it
-            // under the service door, and acks. Exits on stream death or
-            // drain; the node keeps serving reads either way.
+            // The apply loop: reads the primary's live tail, applies each
+            // frame in an engine transaction, and acks. Exits on stream
+            // death or drain; the node keeps serving reads either way.
             let applier = bootstrapped.map(|boot| {
                 let svc = svc.clone();
                 let shared = replica_shared.clone().expect("replica has shared state");
@@ -673,19 +677,21 @@ fn run(args: &[String]) -> CliResult<()> {
             // prints must not crash the drain, so write errors are
             // swallowed.
             use std::io::Write as _;
-            println!("listening on {}", handle.addr());
+            let mut out = std::io::stdout();
+            let _ = writeln!(out, "listening on {}", handle.addr());
             // The wire `shutdown` op must present this token; only the
             // operator reading this stdout (or the supervisor capturing
             // it) can drain the server remotely.
-            println!("shutdown token {}", handle.shutdown_token());
-            match &replica_shared {
-                Some(shared) => println!(
+            let _ = writeln!(out, "shutdown token {}", handle.shutdown_token());
+            let _ = match &replica_shared {
+                Some(shared) => writeln!(
+                    out,
                     "role: replica of {} (epoch {})",
                     shared.source,
                     shared.epoch()
                 ),
-                None => println!("role: primary (epoch {})", svc.workspace().epoch()),
-            }
+                None => writeln!(out, "role: primary (epoch {})", svc.workspace().epoch()),
+            };
             handle
                 .wait()
                 .map_err(|_| CliError::runtime("server thread panicked".to_string()))?;

@@ -126,6 +126,27 @@ fn binary_reports_errors_cleanly() {
 }
 
 #[test]
+fn load_sql_of_an_uncommitted_transaction_fails_and_persists_nothing() {
+    let state = temp_state("load_txn");
+    let s = state.to_str().unwrap();
+    let (ok, _, stderr) = edna(&["init", s]);
+    assert!(ok, "{stderr}");
+    let (ok, _, stderr) = edna(&["sql", s, "CREATE TABLE t (id INT PRIMARY KEY, name TEXT)"]);
+    assert!(ok, "{stderr}");
+    // The script opens a transaction and never commits it.
+    let script = state.with_extension("sql");
+    std::fs::write(&script, "BEGIN; INSERT INTO t VALUES (1, 'uncommitted');").unwrap();
+    let (ok, _, stderr) = edna(&["load-sql", s, script.to_str().unwrap()]);
+    assert!(!ok, "load-sql must refuse the script");
+    assert!(stderr.contains("BEGIN"), "{stderr}");
+    let (ok, stdout, stderr) = edna(&["sql", s, "SELECT name FROM t"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("(0 row(s))"), "{stdout}");
+    let _ = std::fs::remove_file(&script);
+    cleanup(&state);
+}
+
+#[test]
 fn check_flags_flawed_spec_and_passes_bundled_ones() {
     let state = temp_state("check");
     let s = state.to_str().unwrap();
@@ -377,6 +398,38 @@ fn audit_rejects_diverging_decay_counterexample() {
     assert!(stdout.contains("HashText"), "{stdout}");
 
     cleanup(&state);
+}
+
+/// A supervisor may close the server's stdout once it has parsed the
+/// banner; the server must keep serving instead of dying on the next
+/// status line.
+#[test]
+fn serve_keeps_running_when_its_stdout_is_closed() {
+    let state = temp_state("serve_closed_stdout");
+    let s = state.to_str().unwrap();
+    assert!(edna(&["init", s]).0);
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_edna"))
+        .args(["serve", s, "--addr", "127.0.0.1:0"])
+        .stdout(writer)
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("serve spawns");
+    std::thread::sleep(std::time::Duration::from_secs(1));
+    let exited = child.try_wait().unwrap();
+    let _ = child.kill();
+    let _ = child.wait();
+    for suffix in [".wal", ".lock", ".metrics", ".metrics.tmp"] {
+        let mut p = state.as_os_str().to_os_string();
+        p.push(suffix);
+        let _ = std::fs::remove_file(PathBuf::from(p));
+    }
+    cleanup(&state);
+    assert!(
+        exited.is_none(),
+        "serve exited ({exited:?}) once stdout closed"
+    );
 }
 
 #[test]

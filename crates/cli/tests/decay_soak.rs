@@ -5,11 +5,11 @@
 //! resumes the policy cadence from the persisted last-run stamp instead
 //! of re-firing every policy immediately.
 //!
-//! Policy runs are WAL-bracketed and serialized through the same door
-//! lock as apply/reveal, so a kill mid-run leaves either a cleanly
-//! committed prefix of the run's statements (each fsynced before
-//! acknowledgement) or an open run marker that `recover` reports as
-//! benign: incomplete runs never advance the stamp and resume on the
+//! Policy runs are WAL-bracketed, and each disguise a run applies is one
+//! engine transaction like a foreground apply, so a kill mid-run leaves
+//! either a cleanly committed prefix of the run's disguises (each fsynced
+//! before acknowledgement) or an open run marker that `recover` reports
+//! as benign: incomplete runs never advance the stamp and resume on the
 //! next tick.
 //!
 //! Iterations default low to keep `cargo test` fast; CI raises them via

@@ -566,9 +566,11 @@ impl Disguiser {
     }
 
     /// Purges expired vault entries at logical time `now`, making their
-    /// disguises irreversible; returns how many entries were dropped.
+    /// disguises irreversible; returns how many entries were dropped. Runs
+    /// inside a transaction, so it cannot land in the middle of another
+    /// thread's apply, reveal or replication bootstrap.
     pub fn purge_expired(&self, now: i64) -> Result<usize> {
-        Ok(self.vaults.purge_expired(now)?)
+        self.db.transaction(|_| Ok(self.vaults.purge_expired(now)?))
     }
 
     /// Applies a registered disguise with [`Disguiser::options`].
@@ -578,14 +580,31 @@ impl Disguiser {
     /// enabled (the paper's §7 "revert ... and try again with a different
     /// mechanism").
     pub fn apply(&self, name: &str, user: Option<&Value>) -> Result<DisguiseReport> {
+        let applied = self.apply_if(name, user, |_| Ok(true))?;
+        Ok(applied.expect("an unconditional apply always applies"))
+    }
+
+    /// Like [`Disguiser::apply`], but first evaluates `due` inside the
+    /// apply's transaction and applies only if it returns true; returns
+    /// `Ok(None)` otherwise. The check and the application are one step
+    /// to other threads, so a caller that picked the user earlier (a
+    /// policy tick) cannot apply on top of a concurrent apply of the same
+    /// disguise, or to a user who became active meanwhile. Without
+    /// [`ApplyOptions::use_transaction`] the check is not isolated.
+    pub fn apply_if(
+        &self,
+        name: &str,
+        user: Option<&Value>,
+        due: impl Fn(&Disguiser) -> Result<bool>,
+    ) -> Result<Option<DisguiseReport>> {
         let opts = self.options;
-        match self.apply_with_options(name, user, opts) {
+        match self.apply_checked(name, user, opts, &due) {
             Err(Error::AssertionFailed { .. }) if !opts.compose => {
                 let retry = ApplyOptions {
                     compose: true,
                     ..opts
                 };
-                self.apply_with_options(name, user, retry)
+                self.apply_checked(name, user, retry, &due)
             }
             other => other,
         }
@@ -598,6 +617,17 @@ impl Disguiser {
         user: Option<&Value>,
         opts: ApplyOptions,
     ) -> Result<DisguiseReport> {
+        let applied = self.apply_checked(name, user, opts, &|_| Ok(true))?;
+        Ok(applied.expect("an unconditional apply always applies"))
+    }
+
+    fn apply_checked(
+        &self,
+        name: &str,
+        user: Option<&Value>,
+        opts: ApplyOptions,
+        due: &dyn Fn(&Disguiser) -> Result<bool>,
+    ) -> Result<Option<DisguiseReport>> {
         let spec = self.spec(name)?;
         let user_value = match (spec.user_scoped, user) {
             (true, Some(u)) if !u.is_null() => u.clone(),
@@ -617,55 +647,49 @@ impl Disguiser {
         let started = Instant::now();
         let stats_before = self.db.stats();
         let vault_stats_before = self.vaults.store_stats();
-        if opts.use_transaction {
-            self.db.begin()?;
+        let apply = || match due(self)? {
+            true => self
+                .apply_inner(&spec, &user_value, &params, opts, None)
+                .map(Some),
+            false => Ok(None),
+        };
+        // A failed commit (e.g. the WAL append died) rolled the transaction
+        // back inside the engine, but the vault write already happened
+        // outside it — and the commit is AMBIGUOUS: the frame may or may
+        // not have reached disk before the append reported failure. The
+        // vault entry is NOT undone here; the intent marker stays open and
+        // the next recovery resolves it against what actually persisted
+        // (history row present → entry is legitimate; absent → removed).
+        let Some(mut report) = self.transact(opts, apply)? else {
+            return Ok(None);
+        };
+        // The disguise is durable: close the intent bracket. Losing this
+        // marker is benign — recovery re-resolves the intent against the
+        // committed history row.
+        if report.wal_intent {
+            let _ = self.db.wal_disguise_commit(report.disguise_id);
         }
-        let result = self.apply_inner(&spec, &user_value, &params, opts, None);
-        match result {
-            Ok(mut report) => {
-                if opts.use_transaction {
-                    if let Err(commit_err) = self.db.commit() {
-                        // A failed commit (e.g. the WAL append died) rolled
-                        // the transaction back inside the engine, but the
-                        // vault write already happened outside it — and
-                        // the commit is AMBIGUOUS: the frame may or may
-                        // not have reached disk before the append
-                        // reported failure. Do NOT undo the vault entry
-                        // here; the intent marker stays open and the next
-                        // recovery resolves it against what actually
-                        // persisted (history row present → entry is
-                        // legitimate; absent → entry is removed).
-                        return Err(Error::Relational(commit_err));
-                    }
-                }
-                // The disguise is durable: close the intent bracket.
-                // Losing this marker is benign — recovery re-resolves the
-                // intent against the committed history row.
-                if report.wal_intent {
-                    let _ = self.db.wal_disguise_commit(report.disguise_id);
-                }
-                report.duration = started.elapsed();
-                report.stats = self.db.stats().since(&stats_before);
-                report.vault_retries = self
-                    .vaults
-                    .store_stats()
-                    .retries
-                    .saturating_sub(vault_stats_before.retries);
-                Ok(report)
-            }
-            Err(e) => {
-                if opts.use_transaction {
-                    // A failed rollback is a double fault: the database may
-                    // hold a partial application. Surface both causes.
-                    if let Err(rollback) = self.db.rollback() {
-                        return Err(Error::RollbackFailed {
-                            apply: Box::new(e),
-                            rollback,
-                        });
-                    }
-                }
-                Err(e)
-            }
+        report.duration = started.elapsed();
+        report.stats = self.db.stats().since(&stats_before);
+        report.vault_retries = self
+            .vaults
+            .store_stats()
+            .retries
+            .saturating_sub(vault_stats_before.retries);
+        Ok(Some(report))
+    }
+
+    /// Runs `f` in one transaction if `opts.use_transaction`, else
+    /// directly, its statements committing one by one.
+    pub(crate) fn transact<T>(
+        &self,
+        opts: ApplyOptions,
+        f: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        if opts.use_transaction {
+            self.db.transaction(|_| f())
+        } else {
+            f()
         }
     }
 
@@ -675,14 +699,18 @@ impl Disguiser {
     ///
     /// Each shard owns a disjoint set of users (owner-column predicates
     /// make their row sets disjoint too, which is what makes the shards
-    /// independent), applies the disguise per user *without* a wrapping
-    /// transaction — every statement commits through the engine, so
-    /// concurrent shards share fsyncs via the group-commit WAL — and
-    /// batches its vault puts and intent-close markers per chunk of
-    /// [`Disguiser::VAULT_PUT_BATCH`] users.
+    /// independent), applies the disguise to each user in a transaction
+    /// of its own (with [`ApplyOptions::use_transaction`]), so other
+    /// threads see a user's disguise all or nothing — the shards' work
+    /// serializes on the engine gate, but their commits wait for the
+    /// group-commit WAL after releasing it and share fsyncs — and batches
+    /// its vault puts (in one short transaction) and intent-close markers
+    /// per chunk of [`Disguiser::VAULT_PUT_BATCH`] users. Do not call it
+    /// inside a transaction: the shards would wait for it.
     ///
-    /// Failure semantics: a user whose application errors is reported in
-    /// [`ApplyManyReport::failures`] and does not stop the rest. If a
+    /// Failure semantics: a user whose application errors is rolled back,
+    /// reported in [`ApplyManyReport::failures`], and does not stop the
+    /// rest. If a
     /// batched vault put fails, the affected users' database changes are
     /// already committed and cannot be rolled back; the failure policy
     /// decides between marking them degraded (irreversible, the *require*
@@ -724,10 +752,7 @@ impl Disguiser {
             buckets[owner_shard(user, shard_count)].push(user.clone());
         }
 
-        let opts = ApplyOptions {
-            use_transaction: false,
-            ..self.options
-        };
+        let opts = self.options;
         let spec = &spec;
         let outcomes: Vec<ShardOutcome> = std::thread::scope(|s| {
             let handles: Vec<_> = buckets
@@ -794,7 +819,12 @@ impl Disguiser {
             for user in chunk {
                 let mut params = HashMap::new();
                 params.insert("UID".to_string(), user.clone());
-                match self.apply_inner(spec, user, &params, opts, Some(&mut pending)) {
+                // A failed commit is ambiguous, as for a single apply: the
+                // user's deferred vault entry stays in the batch and the
+                // open intent lets recovery decide.
+                match self.transact(opts, || {
+                    self.apply_inner(spec, user, &params, opts, Some(&mut pending))
+                }) {
                     Ok(report) => applied.push((user.clone(), report)),
                     Err(e) => out.failures.push((user.clone(), e.to_string())),
                 }
@@ -805,7 +835,19 @@ impl Disguiser {
                 out.rows_modified += r.rows_modified;
                 out.placeholders_created += r.placeholders_created;
             }
-            let flush_failures = self.flush_pending_puts(pending, opts, &mut out);
+            // Inside a transaction, so a replication bootstrap cannot copy
+            // the vault files halfway through the chunk's puts.
+            let flushed = self
+                .db
+                .transaction(|_| Ok::<_, Error>(self.flush_pending_puts(pending, opts, &mut out)));
+            let flush_failures = match flushed {
+                Ok(failures) => failures,
+                // Its degraded marks did not commit: fail the whole chunk.
+                Err(e) => applied
+                    .iter()
+                    .map(|(u, _)| (u.clone(), e.to_string()))
+                    .collect(),
+            };
             // Close every intent bracket the chunk opened — including
             // degraded ones, whose history rows now say "irreversible"
             // (recovery treats a present history row as committed either

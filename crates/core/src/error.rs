@@ -36,13 +36,6 @@ pub enum Error {
     /// A guarded application update tried to touch a disguised row
     /// (paper §7: updates to disguised data are prohibited).
     DisguisedData { table: String, pk: String },
-    /// The application failed *and* the rollback of its transaction also
-    /// failed — a double fault. The database may hold a partial
-    /// application; both causes are preserved.
-    RollbackFailed {
-        apply: Box<Error>,
-        rollback: edna_relational::Error,
-    },
     /// A vault write failed under the *buffer* policy but no journal is
     /// configured to spool it.
     NoJournal,
@@ -104,11 +97,6 @@ impl fmt::Display for Error {
             Error::DisguisedData { table, pk } => {
                 write!(f, "row {table}[{pk}] is disguised; updates are prohibited")
             }
-            Error::RollbackFailed { apply, rollback } => write!(
-                f,
-                "disguise application failed ({apply}) and its rollback also \
-                 failed ({rollback}); the database may hold a partial application"
-            ),
             Error::NoJournal => write!(
                 f,
                 "vault write failed under the buffer policy but no journal is \
@@ -126,7 +114,6 @@ impl std::error::Error for Error {
         match self {
             Error::Relational(e) => Some(e),
             Error::Vault(e) => Some(e),
-            Error::RollbackFailed { apply, .. } => Some(apply.as_ref()),
             _ => None,
         }
     }

@@ -36,7 +36,8 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use edna_relational::Value;
+use edna_relational::parser::Projection;
+use edna_relational::{Expr, Statement, Value};
 use edna_util::sync::lock_unpoisoned;
 
 use crate::apply::{ApplyOptions, DisguiseReport, Disguiser};
@@ -86,18 +87,10 @@ impl ExpirationPolicy {
         let _clock = edna_relational::clock::scoped(now);
         let mut params = HashMap::new();
         params.insert("CUTOFF".to_string(), Value::Int(now - self.inactive_after));
-        let result = edna
-            .database()
-            .execute_with_params(&self.user_query, &params)
-            .map_err(Error::Relational)?;
         let mut reports = Vec::new();
         let mut remaining = budget;
         let mut complete = true;
-        for row in result.rows {
-            let user = row.first().cloned().unwrap_or(Value::Null);
-            if user.is_null() {
-                continue;
-            }
+        for user in self.inactive_users(edna, &params)? {
             // Idempotence: skip users already under this disguise.
             if edna.history().latest(&self.disguise, &user)?.is_some() {
                 continue;
@@ -106,13 +99,76 @@ impl ExpirationPolicy {
                 complete = false;
                 break;
             }
-            let report = edna.apply(&self.disguise, Some(&user))?;
+            // Both checks again, inside the apply's transaction: a
+            // concurrent apply of this disguise, or the user's return,
+            // may have landed since the query.
+            let due = |edna: &Disguiser| -> Result<bool> {
+                Ok(edna.history().latest(&self.disguise, &user)?.is_none()
+                    && self.still_inactive(edna, &params, &user)?)
+            };
+            let Some(report) = edna.apply_if(&self.disguise, Some(&user), due)? else {
+                continue;
+            };
             if let Some(b) = remaining.as_mut() {
                 *b = b.saturating_sub(rows_touched(&report).max(1));
             }
             reports.push(report);
         }
         Ok((reports, complete))
+    }
+
+    /// The non-NULL ids `user_query` returns.
+    fn inactive_users(
+        &self,
+        edna: &Disguiser,
+        params: &HashMap<String, Value>,
+    ) -> Result<Vec<Value>> {
+        let result = edna
+            .database()
+            .execute_with_params(&self.user_query, params)
+            .map_err(Error::Relational)?;
+        Ok(result
+            .rows
+            .into_iter()
+            .filter_map(|row| row.into_iter().next())
+            .filter(|user| !user.is_null())
+            .collect())
+    }
+
+    /// Whether `user` is still in `user_query`'s result. A query without
+    /// grouping or a row limit whose first column is a plain column runs
+    /// narrowed to `... AND <column> = $EDNA_USER`, an index probe when
+    /// that column is the key; any other query reruns in full.
+    fn still_inactive(
+        &self,
+        edna: &Disguiser,
+        params: &HashMap<String, Value>,
+        user: &Value,
+    ) -> Result<bool> {
+        let db = edna.database();
+        if let Statement::Select(sel) = &*db.cached_statement(&self.user_query)? {
+            let plain = sel.group_by.is_empty()
+                && sel.having.is_none()
+                && sel.limit.is_none()
+                && sel.offset.is_none();
+            if let Some(Projection::Expr {
+                expr: column @ Expr::Column { .. },
+                ..
+            }) = sel.projections.first().filter(|_| plain)
+            {
+                let probe = Expr::eq(column.clone(), Expr::Param("EDNA_USER".to_string()));
+                let mut sel = sel.clone();
+                sel.where_ = Some(match sel.where_.take() {
+                    Some(pred) => Expr::and(pred, probe),
+                    None => probe,
+                });
+                let mut params = params.clone();
+                params.insert("EDNA_USER".to_string(), user.clone());
+                let found = db.execute_stmt(&Statement::Select(sel), &params)?;
+                return Ok(!found.rows.is_empty());
+            }
+        }
+        Ok(self.inactive_users(edna, params)?.contains(user))
     }
 }
 
@@ -244,9 +300,11 @@ impl TickOutcome {
 }
 
 /// Drives policies from the logical clock. Shareable across threads
-/// (`tick` takes `&self`); the decay daemon and a foreground caller can
-/// hold the same scheduler, with external serialization (the server's
-/// door lock) deciding who ticks.
+/// (`tick` takes `&self`), so the decay daemon and wire handlers can hold
+/// the same scheduler; one thread ticks at a time (`edna serve` has one
+/// decay thread). Each disguise a tick applies, and its vault purge, is
+/// one engine transaction, so other threads' work interleaves between
+/// them and never inside.
 pub struct Scheduler {
     policies: Vec<Policy>,
     last_run: Mutex<HashMap<String, i64>>,
@@ -832,5 +890,81 @@ mod tests {
         edna.reveal(first[0].disguise_id).unwrap();
         let third = policy.run(&edna, 1002).unwrap();
         assert_eq!(third.len(), 1);
+    }
+
+    #[test]
+    fn apply_if_applies_only_when_still_due() {
+        let db = Database::new();
+        db.execute("CREATE TABLE users (id INT PRIMARY KEY AUTO_INCREMENT, name TEXT)")
+            .unwrap();
+        db.execute("INSERT INTO users (name) VALUES ('a')").unwrap();
+        let edna = Disguiser::new(db.clone());
+        edna.register(
+            DisguiseSpecBuilder::new("Expire")
+                .user_scoped()
+                .modify("users", Some("id = $UID"), "name", Modifier::Redact)
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let user = Value::Int(1);
+        let skipped = edna.apply_if("Expire", Some(&user), |_| Ok(false)).unwrap();
+        assert!(skipped.is_none());
+        let failed = edna.apply_if("Expire", Some(&user), |_| {
+            Err(Error::Workspace("check failed".to_string()))
+        });
+        assert!(failed.is_err());
+        assert!(edna.history().latest("Expire", &user).unwrap().is_none());
+        assert_eq!(
+            db.execute("SELECT name FROM users").unwrap().rows[0][0],
+            Value::Text("a".into())
+        );
+        let applied = edna.apply_if("Expire", Some(&user), |_| Ok(true)).unwrap();
+        assert!(applied.is_some());
+        assert!(edna.history().latest("Expire", &user).unwrap().is_some());
+    }
+
+    #[test]
+    fn inactivity_recheck_narrows_plain_queries_and_reruns_others() {
+        let db = Database::new();
+        db.execute(
+            "CREATE TABLE users (id INT PRIMARY KEY AUTO_INCREMENT, name TEXT, \
+             last_login INT NOT NULL DEFAULT 0)",
+        )
+        .unwrap();
+        db.execute("INSERT INTO users (name, last_login) VALUES ('a', 0), ('b', 950)")
+            .unwrap();
+        let edna = Disguiser::new(db.clone());
+        let mut params = HashMap::new();
+        params.insert("CUTOFF".to_string(), Value::Int(500));
+        for (user_query, narrowed) in [
+            ("SELECT id FROM users WHERE last_login < $CUTOFF", true),
+            (
+                "SELECT u.id FROM users u WHERE u.last_login < $CUTOFF ORDER BY u.id",
+                true,
+            ),
+            (
+                "SELECT id FROM users WHERE last_login < $CUTOFF LIMIT 5",
+                false,
+            ),
+            ("SELECT id + 0 FROM users WHERE last_login < $CUTOFF", false),
+        ] {
+            let policy = ExpirationPolicy {
+                name: "e".to_string(),
+                disguise: "Expire".to_string(),
+                inactive_after: 500,
+                user_query: user_query.to_string(),
+                cadence: 1,
+            };
+            let stats = db.stats();
+            assert!(policy
+                .still_inactive(&edna, &params, &Value::Int(1))
+                .unwrap());
+            let scans = db.stats().since(&stats).table_scans;
+            assert_eq!(scans == 0, narrowed, "{user_query}: {scans} table scans");
+            assert!(!policy
+                .still_inactive(&edna, &params, &Value::Int(2))
+                .unwrap());
+        }
     }
 }

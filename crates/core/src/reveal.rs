@@ -63,13 +63,23 @@ impl Disguiser {
         self.reveal(event.id)
     }
 
-    /// Reverts disguise application `disguise_id`.
+    /// Reverts disguise application `disguise_id`. With
+    /// [`crate::ApplyOptions::use_transaction`] set, the checks that the
+    /// disguise is still revealable run inside the reveal's transaction,
+    /// so of two concurrent reveals of one id exactly one restores the
+    /// rows and the other fails with [`Error::AlreadyReverted`].
     pub fn reveal(&self, disguise_id: u64) -> Result<RevealReport> {
         let mut root = self.span("reveal");
         if let Some(g) = root.as_mut() {
             g.attr("disguise_id", disguise_id.to_string());
         }
         let started = Instant::now();
+        let mut report = self.transact(self.options, || self.reveal_inner(disguise_id))?;
+        report.duration = started.elapsed();
+        Ok(report)
+    }
+
+    fn reveal_inner(&self, disguise_id: u64) -> Result<RevealReport> {
         let event = self.history.get(disguise_id)?;
         if event.reverted {
             return Err(Error::AlreadyReverted(disguise_id));
@@ -89,43 +99,6 @@ impl Disguiser {
                 reason: "no vault entries remain (expired or purged)".to_string(),
             });
         }
-
-        let use_txn = self.options.use_transaction;
-        if use_txn {
-            self.db.begin()?;
-        }
-        let result = self.reveal_inner(disguise_id, &event, &entries);
-        match result {
-            Ok(mut report) => {
-                if use_txn {
-                    self.db.commit()?;
-                }
-                report.duration = started.elapsed();
-                Ok(report)
-            }
-            Err(e) => {
-                if use_txn {
-                    // Surface a failed rollback as a double fault rather
-                    // than silently dropping it (the reveal may be half
-                    // applied).
-                    if let Err(rollback) = self.db.rollback() {
-                        return Err(Error::RollbackFailed {
-                            apply: Box::new(e),
-                            rollback,
-                        });
-                    }
-                }
-                Err(e)
-            }
-        }
-    }
-
-    fn reveal_inner(
-        &self,
-        disguise_id: u64,
-        event: &crate::history::DisguiseEvent,
-        entries: &[VaultEntry],
-    ) -> Result<RevealReport> {
         let mut report = RevealReport {
             disguise_id,
             name: event.name.clone(),

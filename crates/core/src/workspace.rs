@@ -35,11 +35,12 @@
 //! --verify` reports what such a pass did and self-checks integrity.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use edna_relational::{snapshot, Database, RecoveryReport, Value};
 use edna_util::lockfile::LockFile;
+use edna_util::sync::lock_unpoisoned;
 use edna_vault::{FileStore, ShipFn, ShipSlot, TieredVault, Vault, VaultJournal};
 
 use crate::apply::{Disguiser, IntentResolution};
@@ -68,6 +69,10 @@ pub struct Workspace {
     /// Replication taps of the vault-side files, keyed by the relative
     /// directory prefix a follower should mirror them under.
     ship_slots: Vec<(&'static str, ShipSlot)>,
+    /// Held while [`Workspace::save`] writes the metrics sidecar: two
+    /// saves (a background checkpoint, a replication bootstrap) share its
+    /// temp path.
+    metrics_write: Mutex<()>,
     /// The `<state>.lock` advisory lock, released on drop.
     _lock: LockFile,
 }
@@ -178,7 +183,20 @@ impl Workspace {
     /// workspace drops; a second process opening the same state gets a
     /// [`Error::Workspace`] naming the holding PID.
     pub fn open(path: impl AsRef<Path>, passphrase: Option<&str>) -> Result<Workspace> {
-        let path = path.as_ref().to_path_buf();
+        Self::open_as(path.as_ref(), passphrase, false)
+    }
+
+    /// Opens a state a replica bootstrapped from its primary. Unlike
+    /// [`Workspace::open`] it leaves the WAL alone: disguise intents the
+    /// primary had open when it shipped the state stay open (its stream
+    /// delivers their commit markers), and nothing is checkpointed, since
+    /// any local frame would take an LSN the primary is about to ship.
+    pub fn open_replica(path: impl AsRef<Path>, passphrase: Option<&str>) -> Result<Workspace> {
+        Self::open_as(path.as_ref(), passphrase, true)
+    }
+
+    fn open_as(path: &Path, passphrase: Option<&str>, replica: bool) -> Result<Workspace> {
+        let path = path.to_path_buf();
         let lock = Self::acquire_lock(&path)?;
         let promoted = resolve_snapshot_tmp(&path)?;
         let metrics_tmp = sidecar(&path, ".metrics.tmp");
@@ -216,7 +234,11 @@ impl Workspace {
             let dsl = row[0].as_text()?;
             edna.register_dsl(dsl)?;
         }
-        let resolution = edna.resolve_recovered_intents(&report.open_intents)?;
+        let resolution = if replica {
+            IntentResolution::default()
+        } else {
+            edna.resolve_recovered_intents(&report.open_intents)?
+        };
         let ws = Workspace {
             path,
             db,
@@ -224,11 +246,12 @@ impl Workspace {
             last_recovery: report,
             last_resolution: resolution,
             ship_slots,
+            metrics_write: Mutex::new(()),
             _lock: lock,
         };
         // Checkpoint what recovery rebuilt: fold the replayed tail into
         // the snapshot so the next open starts from a clean log.
-        if ws.last_recovery.acted() || !ws.last_resolution.is_empty() {
+        if !replica && (ws.last_recovery.acted() || !ws.last_resolution.is_empty()) {
             ws.save()?;
         }
         Ok(ws)
@@ -244,10 +267,12 @@ impl Workspace {
         self.db.save(&self.path)?;
         let target = self.metrics_path();
         let tmp = sidecar(&self.path, ".metrics.tmp");
+        let metrics = self.db.metrics().render_prometheus();
+        let _writing = lock_unpoisoned(&self.metrics_write);
         (|| -> std::io::Result<()> {
             use std::io::Write;
             let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.db.metrics().render_prometheus().as_bytes())?;
+            f.write_all(metrics.as_bytes())?;
             f.sync_all()?;
             std::fs::rename(&tmp, &target)?;
             fsync_parent(&target);
@@ -793,6 +818,39 @@ tables: {
         let text = std::fs::read_to_string(ws.metrics_path()).unwrap();
         assert!(text.contains("edna_statements_total"), "got: {text}");
         assert!(text.contains("# TYPE"), "got: {text}");
+        drop(ws);
+        cleanup(&state);
+    }
+
+    /// Checkpoints from several threads (a background checkpointer, a
+    /// replication bootstrap) share the snapshot's and the sidecar's temp
+    /// paths; each must succeed and the state must reopen intact.
+    #[test]
+    fn concurrent_saves_all_succeed() {
+        let state = temp_state("concurrent_saves");
+        let ws = Workspace::init(&state, None).unwrap();
+        ws.db
+            .execute("CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, x INT)")
+            .unwrap();
+        const SAVES: usize = 40;
+        std::thread::scope(|s| {
+            let savers: Vec<_> = (0..3)
+                .map(|_| s.spawn(|| (0..SAVES).map(|_| ws.save()).collect::<Vec<_>>()))
+                .collect();
+            for i in 0..200 {
+                ws.db
+                    .execute(&format!("INSERT INTO t (x) VALUES ({i})"))
+                    .unwrap();
+            }
+            for saver in savers {
+                for result in saver.join().unwrap() {
+                    result.unwrap();
+                }
+            }
+        });
+        drop(ws);
+        let ws = Workspace::open(&state, None).unwrap();
+        assert_eq!(ws.db.row_count("t").unwrap(), 200);
         drop(ws);
         cleanup(&state);
     }

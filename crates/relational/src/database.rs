@@ -1,21 +1,33 @@
 //! The public database handle.
 //!
-//! [`Database`] is cheaply cloneable (`Arc` inside) and thread-safe: all
-//! state sits behind a [`std::sync::RwLock`] — reads (SELECTs and typed
-//! row reads) share the lock and run concurrently, while writes and
-//! transactions take it exclusively (single-writer semantics, as the
-//! paper's prototype applies each disguise in one large SQL transaction).
+//! [`Database`] is cheaply cloneable (`Arc` inside) and thread-safe. Two
+//! locks order all access:
+//!
+//! - the **state lock**, a [`std::sync::RwLock`] over the tables, held
+//!   per statement: reads (SELECTs and typed row reads) share it and run
+//!   concurrently, writes take it exclusively;
+//! - the **gate**, an `RwLock<()>` held per transaction: a
+//!   [`Database::transaction`] takes it exclusively for its whole run (the
+//!   paper's prototype applies each disguise in one large SQL
+//!   transaction), and every other thread's statement takes its shared
+//!   side before the state lock, so it waits for an open transaction
+//!   instead of reading or joining it. The owning thread, marked
+//!   thread-locally, skips the gate.
+//!
 //! Statistics are atomic, and repeated SQL shapes skip the parser via a
 //! per-database statement cache.
 //!
 //! Locks recover from poisoning: a panic inside one statement (e.g. from
 //! a user callback in [`Database::update_with`]) must not wedge the
 //! engine for every later caller. Poisoned plain-data locks (caches,
-//! latency model) are simply re-entered; the engine-state lock
+//! latency model, gate) are simply re-entered; the state lock
 //! additionally rolls back any implicit transaction the panic abandoned,
 //! so no half-applied statement becomes visible.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::ops::{Deref, DerefMut};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
@@ -52,6 +64,9 @@ use crate::wal::{self, OpenIntent, RecoveryReport, ReplayOutcome, Wal, WalRecord
 #[derive(Clone)]
 pub struct Database {
     inner: Arc<RwLock<Inner>>,
+    /// Held exclusively by an open [`Database::transaction`], shared by
+    /// every other thread's statement (see the module docs).
+    gate: Arc<RwLock<()>>,
     stats: Arc<Stats>,
     latency: Arc<RwLock<LatencyModel>>,
     fault: Arc<FaultState>,
@@ -64,6 +79,10 @@ pub struct Database {
     /// pulls them from here and rolls them back before any committer
     /// observes the failure.
     pending_txns: Arc<Mutex<HashMap<u64, Txn>>>,
+    /// Held by [`Database::save`] after the gate and the state lock, so
+    /// concurrent saves (which share the snapshot's temp path and
+    /// truncate one log) run one at a time.
+    saving: Arc<Mutex<()>>,
 }
 
 /// One entry of the slow-statement log.
@@ -186,6 +205,7 @@ impl Database {
         let obs = Arc::new(DbObs::new(&stats.registry()));
         Database {
             inner: Arc::new(RwLock::new(Inner::new())),
+            gate: Arc::new(RwLock::new(())),
             stats,
             latency: Arc::new(RwLock::new(LatencyModel::NONE)),
             fault: Arc::new(FaultState::default()),
@@ -193,33 +213,66 @@ impl Database {
             obs,
             wal: Arc::new(RwLock::new(None)),
             pending_txns: Arc::new(Mutex::new(HashMap::new())),
+            saving: Arc::new(Mutex::new(())),
         }
     }
 
-    // ---- engine lock (poison-tolerant) -------------------------------------
+    // ---- engine locks (poison-tolerant) ------------------------------------
 
-    /// Read-locks the engine state, recovering from poisoning first.
-    fn inner_read(&self) -> RwLockReadGuard<'_, Inner> {
+    /// Read-locks the engine state (behind the gate), recovering from
+    /// poisoning first.
+    fn inner_read(&self) -> Locked<'_, RwLockReadGuard<'_, Inner>> {
+        let gate = self.enter_gate();
         if self.inner.is_poisoned() {
             self.repair_poisoned();
         }
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+        Locked {
+            state: self.inner.read().unwrap_or_else(PoisonError::into_inner),
+            _gate: gate,
+        }
     }
 
-    /// Write-locks the engine state, recovering from poisoning first.
-    fn inner_write(&self) -> RwLockWriteGuard<'_, Inner> {
+    /// Write-locks the engine state (behind the gate), recovering from
+    /// poisoning first.
+    fn inner_write(&self) -> Locked<'_, RwLockWriteGuard<'_, Inner>> {
+        let gate = self.enter_gate();
         if self.inner.is_poisoned() {
             self.repair_poisoned();
         }
-        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+        Locked {
+            state: self.inner.write().unwrap_or_else(PoisonError::into_inner),
+            _gate: gate,
+        }
     }
 
-    /// A panic while the engine lock was held poisons it; the panicking
+    /// The gate's shared side, or `None` on the thread that owns the open
+    /// transaction: its statements run inside that transaction.
+    fn enter_gate(&self) -> Option<RwLockReadGuard<'_, ()>> {
+        if self.owns_transaction() {
+            return None;
+        }
+        Some(self.gate.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Identifies this database (shared by every clone) in the
+    /// thread-local owner marks.
+    fn gate_id(&self) -> usize {
+        Arc::as_ptr(&self.gate) as usize
+    }
+
+    /// Whether the calling thread holds this database's open transaction.
+    fn owns_transaction(&self) -> bool {
+        let id = self.gate_id();
+        OWNED_GATES.with_borrow(|owned| owned.contains(&id))
+    }
+
+    /// A panic while the state lock was held poisons it; the panicking
     /// statement may have died mid-write. Its implicit transaction (if
     /// any) still holds the undo log, so replay it before letting any
     /// later statement see the state. An *explicit* transaction is left
-    /// open — its owner decides between COMMIT and ROLLBACK, and its undo
-    /// log still covers the partial statement either way.
+    /// open — only its owner can reach the state, and its
+    /// [`Database::transaction`] call commits or rolls it back, the undo
+    /// log covering the partial statement either way.
     fn repair_poisoned(&self) {
         let mut guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         if guard.txn.as_ref().is_some_and(|t| t.implicit) {
@@ -233,9 +286,9 @@ impl Database {
 
     /// Installs (or with `None` removes) a statement-level fault hook,
     /// resetting the statement index to 0. The hook is consulted once per
-    /// statement — SQL and typed API alike — *before* execution; explicit
-    /// [`Database::begin`]/[`Database::commit`]/[`Database::rollback`]
-    /// calls are exempt so recovery paths cannot themselves be killed.
+    /// statement — SQL and typed API alike — *before* execution; a
+    /// transaction's commit and rollback are exempt so recovery paths
+    /// cannot themselves be killed.
     pub fn set_fault_hook(&self, hook: Option<FaultHook>) {
         *write_unpoisoned(&self.fault.hook) = hook;
         self.fault.seq.store(0, Ordering::SeqCst);
@@ -332,34 +385,19 @@ impl Database {
         params: &HashMap<String, Value>,
     ) -> Result<QueryResult> {
         self.failpoint()?;
-        match stmt {
-            Statement::Begin => {
-                self.begin()?;
-                return Ok(QueryResult::default());
-            }
-            Statement::Commit => {
-                self.commit()?;
-                return Ok(QueryResult::default());
-            }
-            Statement::Rollback => {
-                self.rollback()?;
-                return Ok(QueryResult::default());
-            }
-            Statement::Select(sel) => {
-                let started = Instant::now();
-                let (result, lock_wait) = {
-                    let inner = self.inner_read();
-                    let lock_wait = started.elapsed();
-                    self.stats.bump(&self.stats.statements, 1);
-                    self.stats.bump(&self.stats.selects, 1);
-                    (inner.select(sel, params, &self.stats), lock_wait)
-                };
-                let latency = *read_unpoisoned(&self.latency);
-                latency.charge(0);
-                self.note_statement("select", started, lock_wait);
-                return result;
-            }
-            _ => {}
+        if let Statement::Select(sel) = stmt {
+            let started = Instant::now();
+            let (result, lock_wait) = {
+                let inner = self.inner_read();
+                let lock_wait = started.elapsed();
+                self.stats.bump(&self.stats.statements, 1);
+                self.stats.bump(&self.stats.selects, 1);
+                (inner.select(sel, params, &self.stats), lock_wait)
+            };
+            let latency = *read_unpoisoned(&self.latency);
+            latency.charge(0);
+            self.note_statement("select", started, lock_wait);
+            return result;
         }
         let is_ddl = matches!(
             stmt,
@@ -384,8 +422,9 @@ impl Database {
         result
     }
 
-    /// Executes a `;`-separated script, stopping at the first error (any
-    /// open explicit transaction is left open, mirroring SQL CLIs).
+    /// Executes a `;`-separated script, stopping at the first error. The
+    /// whole script parses before anything runs; each statement then
+    /// commits on its own.
     pub fn execute_script(&self, sql: &str) -> Result<Vec<QueryResult>> {
         let stmts = parse_script(sql)?;
         let mut out = Vec::with_capacity(stmts.len());
@@ -395,11 +434,11 @@ impl Database {
         Ok(out)
     }
 
-    /// Runs `f` inside the open transaction, or an implicit per-statement
-    /// transaction if none is open (rolled back on error). The engine lock
-    /// is released before any synthetic latency is charged, so concurrent
-    /// callers overlap their simulated I/O. `op` labels the statement in
-    /// traces and the latency histogram.
+    /// Runs `f` inside the calling thread's open transaction, or an
+    /// implicit per-statement transaction if none is open (rolled back on
+    /// error). The engine lock is released before any synthetic latency is
+    /// charged, so concurrent callers overlap their simulated I/O. `op`
+    /// labels the statement in traces and the latency histogram.
     fn run_in_txn<T>(&self, op: &str, f: impl FnOnce(&mut Inner) -> Result<T>) -> Result<T> {
         let written_before = self.stats.snapshot().rows_written;
         let started = Instant::now();
@@ -504,67 +543,50 @@ impl Database {
 
     // ---- transactions ------------------------------------------------------
 
-    /// Opens an explicit transaction; errors if one is already open.
-    pub fn begin(&self) -> Result<()> {
-        let mut inner = self.inner_write();
-        if inner.txn.is_some() {
-            return Err(Error::Txn("transaction already open".to_string()));
+    /// Runs `f` as one transaction: commits on `Ok`, rolls back on `Err` or
+    /// a panic. The transaction holds the gate exclusively, so other
+    /// threads' statements, checkpoints and replica applies wait for it
+    /// instead of reading or joining it; statements the calling thread
+    /// issues meanwhile, through any clone of this handle, run inside it.
+    /// With a WAL attached, `Ok` means the commit is durable; a failed log
+    /// write rolls the transaction back instead. Transactions do not nest,
+    /// and `f` must not wait on another thread that uses this database:
+    /// that thread's statements wait for the transaction.
+    pub fn transaction<T, E: From<Error>>(
+        &self,
+        f: impl FnOnce(&Database) -> std::result::Result<T, E>,
+    ) -> std::result::Result<T, E> {
+        if self.owns_transaction() {
+            return Err(Error::Txn("transaction already open on this thread".to_string()).into());
         }
-        inner.txn = Some(Txn::explicit());
-        Ok(())
-    }
-
-    /// Commits the open transaction; errors if none is open. With a WAL
-    /// attached the transaction's redo frame is durable (via the
-    /// group-commit pipeline) before this returns; if logging fails the
-    /// transaction is rolled back instead — nothing stays visible that is
-    /// not also durable.
-    pub fn commit(&self) -> Result<()> {
-        let mut inner = self.inner_write();
-        let ticket = match inner.txn.take() {
-            Some(txn) => self.wal_stage_commit(&mut inner, txn)?,
-            None => return Err(Error::Txn("COMMIT without BEGIN".to_string())),
-        };
-        drop(inner);
-        match ticket {
-            Some(t) => self.wal_wait_commit(t),
-            None => Ok(()),
-        }
-    }
-
-    /// Rolls back the open transaction; errors if none is open.
-    pub fn rollback(&self) -> Result<()> {
-        let mut inner = self.inner_write();
-        match inner.txn.take() {
-            Some(txn) => {
+        let id = self.gate_id();
+        let gate = self.gate.write().unwrap_or_else(PoisonError::into_inner);
+        OWNED_GATES.with_borrow_mut(|owned| owned.push(id));
+        self.inner_write().txn = Some(Txn::explicit());
+        let outcome = catch_unwind(AssertUnwindSafe(|| f(self)));
+        // Staged under the gate (LSN order is commit order); the
+        // durability wait comes after its release, so concurrent
+        // committers share one batch fsync.
+        let staged = {
+            let mut inner = self.inner_write();
+            let txn = inner.txn.take().expect("the open transaction");
+            if matches!(outcome, Ok(Ok(_))) {
+                self.wal_stage_commit(&mut inner, txn)
+            } else {
                 inner.rollback(txn);
-                Ok(())
+                Ok(None)
             }
-            None => Err(Error::Txn("ROLLBACK without BEGIN".to_string())),
+        };
+        OWNED_GATES.with_borrow_mut(|owned| owned.retain(|g| *g != id));
+        drop(gate);
+        let value = match outcome {
+            Ok(result) => result?,
+            Err(panic) => resume_unwind(panic),
+        };
+        if let Some(ticket) = staged? {
+            self.wal_wait_commit(ticket)?;
         }
-    }
-
-    /// Whether an explicit transaction is open.
-    pub fn in_transaction(&self) -> bool {
-        self.inner_read().txn.as_ref().is_some_and(|t| !t.implicit)
-    }
-
-    /// Runs `f` inside a fresh explicit transaction, committing on `Ok` and
-    /// rolling back on `Err`.
-    pub fn transaction<T>(&self, f: impl FnOnce(&Database) -> Result<T>) -> Result<T> {
-        self.begin()?;
-        match f(self) {
-            Ok(v) => {
-                self.commit()?;
-                Ok(v)
-            }
-            Err(e) => {
-                // Rollback can only fail if the txn vanished; prefer the
-                // original error either way.
-                let _ = self.rollback();
-                Err(e)
-            }
-        }
+        Ok(value)
     }
 
     // ---- write-ahead log and recovery --------------------------------------
@@ -660,48 +682,50 @@ impl Database {
         }
     }
 
+    /// Logs a marker frame. It is staged behind the gate, like a
+    /// statement's commit frame, so it never lands inside another thread's
+    /// transaction (say, between a replication bootstrap's checkpoint and
+    /// its file copy); the durability wait comes after. No-op without a
+    /// WAL.
+    fn log_marker(&self, record: WalRecord) -> Result<()> {
+        let Some(w) = self.wal() else { return Ok(()) };
+        let ticket = {
+            let _gate = self.enter_gate();
+            w.stage(&record)?
+        };
+        w.wait_durable(ticket).map(|_| ())
+    }
+
     /// Appends a disguise *intent* marker: disguise `disguise_id` for
     /// `user` is about to write vault-side state. No-op without a WAL.
     pub fn wal_disguise_intent(&self, disguise_id: u64, user: &Value) -> Result<()> {
-        if let Some(w) = self.wal() {
-            w.append(&WalRecord::DisguiseIntent {
-                disguise_id,
-                user: user.clone(),
-            })?;
-        }
-        Ok(())
+        self.log_marker(WalRecord::DisguiseIntent {
+            disguise_id,
+            user: user.clone(),
+        })
     }
 
     /// Appends a disguise *commit* marker: disguise `disguise_id` fully
     /// applied; database, history, and vault agree. No-op without a WAL.
     pub fn wal_disguise_commit(&self, disguise_id: u64) -> Result<()> {
-        if let Some(w) = self.wal() {
-            w.append(&WalRecord::DisguiseCommit { disguise_id })?;
-        }
-        Ok(())
+        self.log_marker(WalRecord::DisguiseCommit { disguise_id })
     }
 
     /// Appends a policy-run *start* marker: the scheduler is about to run
     /// `policy` at logical time `now`. No-op without a WAL.
     pub fn wal_policy_start(&self, policy: &str, now: i64) -> Result<()> {
-        if let Some(w) = self.wal() {
-            w.append(&WalRecord::PolicyRunStart {
-                policy: policy.to_string(),
-                now,
-            })?;
-        }
-        Ok(())
+        self.log_marker(WalRecord::PolicyRunStart {
+            policy: policy.to_string(),
+            now,
+        })
     }
 
     /// Appends a policy-run *end* marker matching the start marker for
     /// `policy`. No-op without a WAL.
     pub fn wal_policy_end(&self, policy: &str) -> Result<()> {
-        if let Some(w) = self.wal() {
-            w.append(&WalRecord::PolicyRunEnd {
-                policy: policy.to_string(),
-            })?;
-        }
-        Ok(())
+        self.log_marker(WalRecord::PolicyRunEnd {
+            policy: policy.to_string(),
+        })
     }
 
     /// Replays scanned WAL records over this database. Txn frames with
@@ -717,11 +741,6 @@ impl Database {
         watermark: u64,
     ) -> Result<ReplayOutcome> {
         let mut inner = self.inner_write();
-        if inner.txn.is_some() {
-            return Err(Error::Wal(
-                "cannot replay into a database with an open transaction".to_string(),
-            ));
-        }
         let mut frames_replayed = 0;
         let mut intents: Vec<OpenIntent> = Vec::new();
         let mut policy_runs: Vec<wal::OpenPolicyRun> = Vec::new();
@@ -780,11 +799,6 @@ impl Database {
             return Ok(());
         };
         let mut inner = self.inner_write();
-        if inner.txn.is_some() {
-            return Err(Error::Wal(
-                "cannot apply shipped frame with an open transaction".to_string(),
-            ));
-        }
         for op in ops {
             wal::apply_op(&mut inner, op)?;
         }
@@ -1193,11 +1207,9 @@ impl Database {
     /// data, so it does not fail the call.
     pub fn set_now(&self, now: i64) {
         self.inner_write().now = now;
-        if let Some(w) = self.wal() {
-            let _ = w.append(&WalRecord::Txn {
-                ops: vec![wal::RedoOp::SetNow { now }],
-            });
-        }
+        let _ = self.log_marker(WalRecord::Txn {
+            ops: vec![wal::RedoOp::SetNow { now }],
+        });
     }
 
     /// A snapshot of the execution counters.
@@ -1367,10 +1379,14 @@ impl Database {
     /// the WAL watermark, and once it is durably renamed into place the
     /// log is truncated — every frame it held is contained in the
     /// snapshot. (Intent markers still open at the checkpoint are carried
-    /// into the fresh log by [`Wal::truncate`].)
+    /// into the fresh log by [`Wal::truncate`].) Concurrent saves run one
+    /// at a time.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
         let Some(w) = self.wal() else {
-            return crate::snapshot::save(self, path);
+            let inner = self.inner_read();
+            let _saving = lock_unpoisoned(&self.saving);
+            let data = crate::snapshot::encode_inner(&inner, 0);
+            return crate::snapshot::write_atomic(&data, path.as_ref());
         };
         // The database is Arc-shared and writable from other threads, so
         // hold the engine lock across encode → rename → truncate: a
@@ -1379,7 +1395,8 @@ impl Database {
         // frame deleted by the truncation — an acknowledged durable
         // commit lost. Commits stage their frame under the write lock, so
         // a read guard held here excludes new ones while letting
-        // concurrent readers proceed.
+        // concurrent readers proceed; its gate share waits out another
+        // thread's open transaction, so none of its rows are captured.
         loop {
             // Drain the commit pipeline first: a staged-but-unflushed
             // frame belongs to a transaction whose effects are already
@@ -1396,6 +1413,7 @@ impl Database {
                 std::thread::yield_now();
                 continue;
             }
+            let _saving = lock_unpoisoned(&self.saving);
             let data = crate::snapshot::encode_inner(&inner, w.last_lsn());
             crate::snapshot::write_atomic(&data, path.as_ref())?;
             w.truncate()?;
@@ -1429,6 +1447,33 @@ impl Database {
             out.insert(t.schema.name.clone(), rows);
         }
         out
+    }
+}
+
+thread_local! {
+    /// Gates of the databases whose open transaction this thread holds.
+    static OWNED_GATES: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The engine state under its lock, plus the gate's shared side when the
+/// locking thread does not own the open transaction. The state lock is
+/// released first.
+struct Locked<'a, G> {
+    state: G,
+    _gate: Option<RwLockReadGuard<'a, ()>>,
+}
+
+impl<G: Deref<Target = Inner>> Deref for Locked<'_, G> {
+    type Target = Inner;
+
+    fn deref(&self) -> &Inner {
+        &self.state
+    }
+}
+
+impl<G: DerefMut<Target = Inner>> DerefMut for Locked<'_, G> {
+    fn deref_mut(&mut self) -> &mut Inner {
+        &mut self.state
     }
 }
 
@@ -1585,31 +1630,81 @@ mod tests {
         assert_eq!(db.row_count("users").unwrap(), 1);
     }
 
+    /// The error a test transaction returns to roll itself back.
+    fn abort() -> Error {
+        Error::Txn("rolled back by the test".to_string())
+    }
+
     #[test]
     fn explicit_transaction_rollback() {
         let db = setup();
         db.execute("INSERT INTO users (name) VALUES ('keep')")
             .unwrap();
         let before = db.dump();
-        db.begin().unwrap();
-        db.execute("INSERT INTO users (name) VALUES ('gone')")
-            .unwrap();
-        db.execute("UPDATE users SET karma = 99 WHERE name = 'keep'")
-            .unwrap();
-        db.rollback().unwrap();
+        let r: Result<()> = db.transaction(|db| {
+            db.execute("INSERT INTO users (name) VALUES ('gone')")?;
+            db.execute("UPDATE users SET karma = 99 WHERE name = 'keep'")?;
+            Err(abort())
+        });
+        assert_eq!(r.unwrap_err(), abort());
         assert_eq!(db.dump(), before);
     }
 
     #[test]
     fn statement_failure_inside_txn_keeps_earlier_work() {
         let db = setup();
-        db.begin().unwrap();
-        db.execute("INSERT INTO users (name) VALUES ('a')").unwrap();
-        assert!(db
-            .execute("INSERT INTO users (name) VALUES (NULL)")
-            .is_err());
-        db.commit().unwrap();
+        let r: Result<()> = db.transaction(|db| {
+            db.execute("INSERT INTO users (name) VALUES ('a')")?;
+            assert!(db
+                .execute("INSERT INTO users (name) VALUES (NULL)")
+                .is_err());
+            Ok(())
+        });
+        r.unwrap();
         assert_eq!(db.row_count("users").unwrap(), 1);
+    }
+
+    #[test]
+    fn transactions_do_not_nest() {
+        let db = setup();
+        let r: Result<()> = db.transaction(|db| {
+            let nested: Result<()> = db.clone().transaction(|_| Ok(()));
+            assert!(matches!(nested, Err(Error::Txn(_))), "{nested:?}");
+            db.execute("INSERT INTO users (name) VALUES ('a')")?;
+            Ok(())
+        });
+        r.unwrap();
+        assert_eq!(db.row_count("users").unwrap(), 1);
+    }
+
+    #[test]
+    fn a_panic_inside_a_transaction_rolls_it_back() {
+        let db = setup();
+        db.execute("INSERT INTO users (name) VALUES ('keep')")
+            .unwrap();
+        let before = db.dump();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _: Result<()> = db.transaction(|db| {
+                db.execute("INSERT INTO users (name) VALUES ('gone')")?;
+                // Panics under the state lock, poisoning it mid-statement.
+                db.update_with("users", None, &HashMap::new(), |_, _| {
+                    panic!("injected panic inside a transaction")
+                })?;
+                Ok(())
+            });
+        }));
+        assert!(caught.is_err(), "the panic propagates");
+        // The gate is free for another thread, which sees none of it.
+        let other = db.clone();
+        let seen = std::thread::spawn(move || other.dump()).join().unwrap();
+        assert_eq!(seen, before);
+        // And this thread is no longer marked as an owner.
+        let r: Result<()> = db.transaction(|db| {
+            db.execute("INSERT INTO users (name) VALUES ('next')")?;
+            Ok(())
+        });
+        r.unwrap();
+        assert_eq!(db.row_count("users").unwrap(), 2);
     }
 
     #[test]
@@ -1732,12 +1827,14 @@ mod tests {
     fn drop_table_and_rollback_restores_it() {
         let db = setup();
         db.execute("INSERT INTO users (name) VALUES ('a')").unwrap();
-        db.begin().unwrap();
-        // Child table first (users is referenced by posts).
-        db.execute("DROP TABLE posts").unwrap();
-        db.execute("DROP TABLE users").unwrap();
-        assert!(!db.has_table("users"));
-        db.rollback().unwrap();
+        let r: Result<()> = db.transaction(|db| {
+            // Child table first (users is referenced by posts).
+            db.execute("DROP TABLE posts")?;
+            db.execute("DROP TABLE users")?;
+            assert!(!db.has_table("users"));
+            Err(abort())
+        });
+        assert!(r.is_err());
         assert!(db.has_table("users"));
         assert_eq!(db.row_count("users").unwrap(), 1);
     }
@@ -1781,21 +1878,22 @@ mod tests {
     fn fault_hook_counts_typed_statements_and_spares_txn_control() {
         let db = setup();
         db.set_fault_hook(Some(Arc::new(|_| false)));
-        db.begin().unwrap(); // exempt: not counted
-        db.insert_row("users", &[("name", Value::Text("a".into()))])
-            .unwrap();
-        db.select_rows("users", None, &HashMap::new()).unwrap();
-        db.update_with("users", None, &HashMap::new(), |_, _| Ok(()))
-            .unwrap();
-        db.commit().unwrap(); // exempt
+        // Opening and committing the transaction are exempt: not counted.
+        let r: Result<()> = db.transaction(|db| {
+            db.insert_row("users", &[("name", Value::Text("a".into()))])?;
+            db.select_rows("users", None, &HashMap::new())?;
+            db.update_with("users", None, &HashMap::new(), |_, _| Ok(()))?;
+            Ok(())
+        });
+        r.unwrap();
         assert_eq!(db.fault_statement_count(), 3);
         // A hook that fails everything still lets rollback through.
         db.set_fault_hook(Some(Arc::new(|_| true)));
-        db.begin().unwrap();
-        assert!(db
-            .insert_row("users", &[("name", Value::Text("b".into()))])
-            .is_err());
-        db.rollback().unwrap();
+        let r: Result<()> = db.transaction(|db| {
+            db.insert_row("users", &[("name", Value::Text("b".into()))])?;
+            Ok(())
+        });
+        assert_eq!(r.unwrap_err(), Error::FaultInjected(0));
         db.set_fault_hook(None);
         assert_eq!(db.row_count("users").unwrap(), 1);
     }
@@ -1807,7 +1905,7 @@ mod tests {
             .unwrap();
         let before = db.dump();
         db.fail_statement(1);
-        let result = db.transaction(|db| {
+        let result: Result<()> = db.transaction(|db| {
             db.insert_row("users", &[("name", Value::Text("gone".into()))])?; // stmt 0
             db.insert_row("users", &[("name", Value::Text("never".into()))])?; // stmt 1: killed
             Ok(())
@@ -2253,11 +2351,13 @@ mod obs_tests {
         d.execute("CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, v TEXT)")
             .unwrap();
         d.execute("INSERT INTO t (v) VALUES ('a')").unwrap(); // id 1
-        d.execute("BEGIN").unwrap();
-        d.execute("INSERT INTO t (v) VALUES ('b')").unwrap(); // id 2
-                                                              // Explicit value ahead of the counter bumps it too...
-        d.execute("INSERT INTO t (id, v) VALUES (50, 'c')").unwrap();
-        d.execute("ROLLBACK").unwrap();
+        let r: Result<()> = d.transaction(|d| {
+            d.execute("INSERT INTO t (v) VALUES ('b')")?; // id 2
+                                                          // Explicit value ahead of the counter bumps it too...
+            d.execute("INSERT INTO t (id, v) VALUES (50, 'c')")?;
+            Err(Error::Txn("roll back".to_string()))
+        });
+        assert!(r.is_err());
         // ...but rollback fully restores the counter (deliberately not
         // MySQL's leak-the-ids behavior — see exec.rs): the next insert
         // reuses id 2, not 51.

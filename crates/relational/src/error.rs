@@ -41,7 +41,7 @@ pub enum Error {
     Eval(String),
     /// An unbound `$param` placeholder was evaluated.
     UnboundParam(String),
-    /// Transaction-state misuse (e.g. COMMIT without BEGIN).
+    /// Transaction misuse (e.g. opening one inside another).
     Txn(String),
     /// The statement is valid SQL but unsupported by this engine.
     Unsupported(String),

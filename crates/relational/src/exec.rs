@@ -75,7 +75,8 @@ pub(crate) struct Inner {
     pub tables: HashMap<String, Table>,
     /// Table names in creation order (for deterministic iteration).
     pub table_order: Vec<String>,
-    /// The open transaction, if any.
+    /// The open transaction, if any: a statement's implicit one, or the
+    /// one the gate's owner opened with `Database::transaction`.
     pub txn: Option<Txn>,
     /// Logical clock returned by `NOW()`.
     pub now: i64,
@@ -202,10 +203,6 @@ impl Inner {
                 stats.bump(&stats.deletes, 1);
                 self.delete(table, where_.as_ref(), params, stats)
             }
-            // BEGIN/COMMIT/ROLLBACK are intercepted by Database::execute.
-            Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::Txn(
-                "transaction statements must go through Database".to_string(),
-            )),
         }
     }
 

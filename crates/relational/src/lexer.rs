@@ -76,9 +76,6 @@ const KEYWORDS: &[&str] = &[
     "DROP",
     "IF",
     "EXISTS",
-    "BEGIN",
-    "COMMIT",
-    "ROLLBACK",
     "TRUE",
     "FALSE",
     "JOIN",
@@ -99,7 +96,6 @@ const KEYWORDS: &[&str] = &[
     "THEN",
     "ELSE",
     "END",
-    "TRANSACTION",
     "ALTER",
     "ADD",
     "COLUMN",

@@ -6,7 +6,8 @@
 //! provides:
 //!
 //! - a SQL subset: `CREATE TABLE`/`CREATE INDEX`, `INSERT`, `SELECT` with
-//!   joins/aggregates/`ORDER BY`, `UPDATE`, `DELETE`, and transactions;
+//!   joins/aggregates/`ORDER BY`, `UPDATE` and `DELETE`, plus
+//!   [`Database::transaction`], isolated from every other thread;
 //! - arbitrary SQL `WHERE` predicates with `$param` binding — the disguise
 //!   specification language embeds these directly (paper §5);
 //! - enforced constraints: NOT NULL, UNIQUE, PRIMARY KEY, FOREIGN KEY with

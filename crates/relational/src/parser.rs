@@ -3,7 +3,8 @@
 //! Supported statements: `CREATE TABLE`, `CREATE [UNIQUE] INDEX`,
 //! `DROP TABLE [IF EXISTS]`, `INSERT INTO`, `SELECT` (projections,
 //! `INNER`/`LEFT JOIN`, `WHERE`, `GROUP BY`, `ORDER BY`, `LIMIT`,
-//! aggregates), `UPDATE`, `DELETE`, and `BEGIN`/`COMMIT`/`ROLLBACK`.
+//! aggregates), `UPDATE` and `DELETE`. There is no transaction control:
+//! a transaction is [`crate::Database::transaction`]'s closure.
 //! Expressions use a precedence-climbing parser; see [`parse_expr`].
 
 use crate::error::{Error, Result};
@@ -46,12 +47,6 @@ pub enum Statement {
     },
     /// `DELETE FROM table [WHERE ...]`.
     Delete { table: String, where_: Option<Expr> },
-    /// `BEGIN [TRANSACTION]`.
-    Begin,
-    /// `COMMIT`.
-    Commit,
-    /// `ROLLBACK`.
-    Rollback,
 }
 
 /// The action of an `ALTER TABLE` statement.
@@ -295,19 +290,6 @@ impl Parser {
                 "SELECT" => Ok(Statement::Select(self.select()?)),
                 "UPDATE" => self.update(),
                 "DELETE" => self.delete(),
-                "BEGIN" => {
-                    self.pos += 1;
-                    self.eat_keyword("TRANSACTION");
-                    Ok(Statement::Begin)
-                }
-                "COMMIT" => {
-                    self.pos += 1;
-                    Ok(Statement::Commit)
-                }
-                "ROLLBACK" => {
-                    self.pos += 1;
-                    Ok(Statement::Rollback)
-                }
                 other => Err(self.err(format!("unexpected keyword {other}"))),
             },
             other => Err(self.err(format!("expected statement, found {other:?}"))),
@@ -1137,20 +1119,18 @@ mod tests {
     }
 
     #[test]
-    fn transactions() {
-        assert_eq!(parse_statement("BEGIN").unwrap(), Statement::Begin);
-        assert_eq!(
-            parse_statement("BEGIN TRANSACTION").unwrap(),
-            Statement::Begin
-        );
-        assert_eq!(parse_statement("COMMIT;").unwrap(), Statement::Commit);
-        assert_eq!(parse_statement("ROLLBACK").unwrap(), Statement::Rollback);
+    fn transaction_control_is_not_sql() {
+        for sql in ["BEGIN", "BEGIN TRANSACTION", "COMMIT;", "ROLLBACK"] {
+            assert!(parse_statement(sql).is_err(), "{sql} parsed");
+        }
     }
 
     #[test]
     fn script_parsing() {
-        let stmts = parse_script("BEGIN; INSERT INTO t VALUES (1); COMMIT;").unwrap();
-        assert_eq!(stmts.len(), 3);
+        let stmts = parse_script("INSERT INTO t VALUES (1); DELETE FROM t;").unwrap();
+        assert_eq!(stmts.len(), 2);
+        // One unparsable statement fails the whole script.
+        assert!(parse_script("BEGIN; INSERT INTO t VALUES (1);").is_err());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Transactions: an undo log replayed in reverse on rollback.
 //!
 //! Every mutating operation appends an [`UndoOp`] describing how to restore
-//! the previous state. Statements outside an explicit `BEGIN`/`COMMIT` run
-//! in an implicit transaction so that a mid-statement constraint violation
-//! (e.g. row 3 of a multi-row INSERT) leaves the database untouched.
+//! the previous state. Statements outside a [`crate::Database::transaction`]
+//! run in an implicit transaction so that a mid-statement constraint
+//! violation (e.g. row 3 of a multi-row INSERT) leaves the database
+//! untouched.
 
 use crate::storage::{RowId, Table};
 use crate::value::Row;

@@ -17,6 +17,11 @@ fn db() -> Database {
     db
 }
 
+/// The error a test transaction returns to roll itself back.
+fn roll_back() -> Error {
+    Error::Txn("rolled back by the test".to_string())
+}
+
 #[test]
 fn add_column_fills_default() {
     let db = db();
@@ -152,15 +157,14 @@ fn rename_rejections() {
 fn alter_rolls_back() {
     let db = db();
     let before = db.dump();
-    db.begin().unwrap();
-    db.execute("ALTER TABLE users ADD COLUMN karma INT DEFAULT 0")
-        .unwrap();
-    db.execute("ALTER TABLE posts DROP COLUMN body").unwrap();
-    db.execute("ALTER TABLE users RENAME COLUMN name TO display_name")
-        .unwrap();
-    db.execute("UPDATE users SET karma = 3 WHERE id = 1")
-        .unwrap();
-    db.rollback().unwrap();
+    let r: Result<(), Error> = db.transaction(|db| {
+        db.execute("ALTER TABLE users ADD COLUMN karma INT DEFAULT 0")?;
+        db.execute("ALTER TABLE posts DROP COLUMN body")?;
+        db.execute("ALTER TABLE users RENAME COLUMN name TO display_name")?;
+        db.execute("UPDATE users SET karma = 3 WHERE id = 1")?;
+        Err(roll_back())
+    });
+    assert_eq!(r.unwrap_err(), roll_back());
     assert_eq!(db.dump(), before);
     // Schema fully restored, including FK behavior.
     db.execute("SELECT name, id FROM users").unwrap();
@@ -171,10 +175,11 @@ fn alter_rolls_back() {
 #[test]
 fn rename_rolls_back_child_fk_metadata() {
     let db = db();
-    db.begin().unwrap();
-    db.execute("ALTER TABLE users RENAME COLUMN id TO userId")
-        .unwrap();
-    db.rollback().unwrap();
+    let r: Result<(), Error> = db.transaction(|db| {
+        db.execute("ALTER TABLE users RENAME COLUMN id TO userId")?;
+        Err(roll_back())
+    });
+    assert_eq!(r.unwrap_err(), roll_back());
     // Child FK must point at `id` again.
     let schema = db.schema("posts").unwrap();
     assert_eq!(schema.foreign_keys[0].parent_column, "id");

@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use edna_relational::{parse_expr, AccessPath, Database, Value};
+use edna_relational::{parse_expr, AccessPath, Database, Error, Value};
 
 fn params(pairs: &[(&str, Value)]) -> HashMap<String, Value> {
     pairs
@@ -97,14 +97,15 @@ fn create_index_flips_a_cached_full_scan_plan() {
 fn rolled_back_create_index_does_not_leave_a_stale_probe_plan() {
     let db = db();
     let pred = parse_expr("age = 40").unwrap();
-    db.execute("BEGIN").unwrap();
-    db.execute("CREATE INDEX users_by_age ON users (age)")
-        .unwrap();
-    assert!(
-        db.access_path("users", Some(&pred)).unwrap().is_probe(),
-        "inside the txn the index is visible"
-    );
-    db.execute("ROLLBACK").unwrap();
+    let r: Result<(), Error> = db.transaction(|db| {
+        db.execute("CREATE INDEX users_by_age ON users (age)")?;
+        assert!(
+            db.access_path("users", Some(&pred))?.is_probe(),
+            "inside the txn the index is visible"
+        );
+        Err(Error::Txn("roll back".to_string()))
+    });
+    assert!(r.is_err());
     assert_eq!(
         db.access_path("users", Some(&pred)).unwrap(),
         AccessPath::FullScan,

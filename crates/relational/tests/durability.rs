@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use edna_relational::wal::WalGroupConfig;
-use edna_relational::{Database, Value, WalCrash};
+use edna_relational::{Database, Error, Value, WalCrash};
 
 struct TempDir(PathBuf);
 
@@ -115,7 +115,7 @@ fn explicit_transactions_log_one_frame_and_replay() {
         let (db, _) = Database::open_durable(None, &wal_path).unwrap();
         seed_schema(&db);
         let frames_before = db.wal().unwrap().last_lsn();
-        db.transaction(|db| {
+        db.transaction(|db| -> Result<(), Error> {
             db.execute("INSERT INTO users (name) VALUES ('bea')")?;
             db.execute("INSERT INTO posts (user_id, body) VALUES (1, 'x')")?;
             Ok(())
@@ -127,10 +127,11 @@ fn explicit_transactions_log_one_frame_and_replay() {
             "one commit = one frame"
         );
         // A rolled-back transaction logs nothing.
-        db.begin().unwrap();
-        db.execute("INSERT INTO users (name) VALUES ('ghost')")
-            .unwrap();
-        db.rollback().unwrap();
+        let r: Result<(), Error> = db.transaction(|db| {
+            db.execute("INSERT INTO users (name) VALUES ('ghost')")?;
+            Err(Error::Txn("roll back".to_string()))
+        });
+        assert!(r.is_err());
         assert_eq!(db.wal().unwrap().last_lsn(), frames_before + 1);
     }
     let (back, _) = Database::open_durable(None, &wal_path).unwrap();
@@ -262,6 +263,42 @@ fn concurrent_checkpoints_never_lose_acknowledged_commits() {
         &Value::Int(N as i64),
         "every acknowledged commit survives checkpoint + crash"
     );
+}
+
+#[test]
+fn a_save_during_another_threads_transaction_captures_none_of_it() {
+    // Thread A inserts inside a transaction it then rolls back; thread B
+    // checkpoints meanwhile. The checkpoint must wait for A to finish: a
+    // snapshot taken mid-transaction would persist a row nobody committed.
+    let dir = TempDir::new("save_mid_txn");
+    let wal_path = dir.path("db.wal");
+    let snap_path = dir.path("db.edna");
+    {
+        let (db, _) = Database::open_durable(None, &wal_path).unwrap();
+        seed_schema(&db);
+        db.execute("INSERT INTO users (name) VALUES ('committed')")
+            .unwrap();
+        let (inserted, wake_saver) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let saver = s.spawn(|| {
+                let wake_saver = wake_saver;
+                wake_saver.recv().unwrap();
+                db.save(&snap_path).unwrap();
+            });
+            let r: Result<(), Error> = db.transaction(|db| {
+                db.execute("INSERT INTO users (name) VALUES ('uncommitted')")?;
+                inserted.send(()).unwrap();
+                // Long enough for the saver to run into the transaction.
+                std::thread::sleep(std::time::Duration::from_millis(100));
+                Err(Error::Txn("roll back".to_string()))
+            });
+            assert!(r.is_err());
+            saver.join().unwrap();
+        });
+    }
+    let (back, _) = Database::open_durable(Some(&snap_path), &wal_path).unwrap();
+    let names = back.execute("SELECT name FROM users ORDER BY id").unwrap();
+    assert_eq!(names.rows, vec![vec![Value::Text("committed".into())]]);
 }
 
 #[test]

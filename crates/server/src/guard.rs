@@ -107,7 +107,6 @@ fn collect_statement(stmt: &Statement, out: &mut Vec<String>) {
                 collect_expr(e, out);
             }
         }
-        Statement::Begin | Statement::Commit | Statement::Rollback => {}
     }
 }
 

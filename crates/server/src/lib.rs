@@ -11,8 +11,8 @@
 //!   structured error, never a panic or a hung worker.
 //! - **No tenant starves another**: a bounded worker pool with explicit
 //!   `busy` backpressure ([`server`]), absolute per-frame deadlines, and
-//!   a service-level door that keeps long disguise applications from
-//!   blocking liveness probes ([`service`]).
+//!   liveness probes that take no lock, so a long disguise application
+//!   never blocks them ([`service`]).
 //! - **The operator is not omnipotent**: reversible applications mint
 //!   per-user capability tokens; reveal over the wire requires the
 //!   token, and the server stores only its hash ([`caps`]). Wire SQL

@@ -414,9 +414,9 @@ impl ReplHub {
         self.sync_target
     }
 
-    /// Registers a follower slot. Must be called while holding the
-    /// service door's write side during the bootstrap handshake, so no
-    /// commit can slip between the shipped snapshot and the live tail.
+    /// Registers a follower slot. Must be called inside the bootstrap
+    /// handshake's engine transaction, so no commit can slip between the
+    /// shipped snapshot and the live tail.
     pub fn register(&self, peer: String) -> Arc<Follower> {
         let f = Arc::new(Follower::new(peer));
         lock_unpoisoned(&self.followers).push(f.clone());

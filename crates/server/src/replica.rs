@@ -7,9 +7,9 @@
 //!    written to the local state paths **before** the workspace is
 //!    opened. The connection stays up; the live tail follows on it.
 //! 2. [`run`] — the apply loop: read stream records, apply each WAL
-//!    frame through the service door's write side (preserving the
-//!    primary's LSNs, fsync per frame), mirror vault-side file
-//!    mutations, and acknowledge applied LSNs back on the same socket.
+//!    frame in one engine transaction (preserving the primary's LSNs,
+//!    fsync per frame), mirror vault-side file mutations, and
+//!    acknowledge applied LSNs back on the same socket.
 //!
 //! The replica's service rejects writes (`read-only`), its decay daemon
 //! and background checkpointer stay off (a local checkpoint would burn
@@ -303,9 +303,9 @@ fn read_stream_record(stream: &mut TcpStream, budget: Duration) -> Result<Stream
 
 /// The live apply loop. Runs until the stream breaks, a record fails to
 /// apply, or `stop` turns true; marks `shared` disconnected on exit.
-/// Each WAL frame is applied under the service door's write side and
-/// acknowledged only after it is durable locally, so an LSN this
-/// replica acked genuinely survives losing the primary.
+/// Each WAL frame is applied in one engine transaction and acknowledged
+/// only after it is durable locally, so an LSN this replica acked
+/// genuinely survives losing the primary.
 pub fn run(
     mut stream: TcpStream,
     svc: &Arc<Service>,

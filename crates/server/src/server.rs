@@ -29,8 +29,9 @@
 //! - A **background checkpointer** (optional) periodically snapshots to
 //!   bound WAL growth during long serving runs.
 //! - A **decay daemon** (optional) ticks registered expiration/decay
-//!   policies on a wall clock, serialized through the same door lock as
-//!   apply/reveal so policy runs never interleave with foreground work.
+//!   policies on a wall clock; each disguise a tick applies is one engine
+//!   transaction, like a foreground apply, so foreground work never sees
+//!   one half done.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,8 +69,8 @@ pub struct ServerConfig {
     /// decay daemon; `None` disables background policy runs.
     pub policy_tick: Option<Duration>,
     /// Row budget per policy tick: a tick transforms at most roughly
-    /// this many rows, then yields the door back to foreground traffic
-    /// and resumes where it left off on the next tick.
+    /// this many rows, then yields to foreground traffic and resumes
+    /// where it left off on the next tick.
     pub decay_rows: usize,
     /// `--sync-replicas N`: hold each group-commit batch's waiters until
     /// `N` followers acknowledged the batch. 0 = fully asynchronous.
@@ -279,10 +280,10 @@ fn run(listener: TcpListener, svc: Arc<Service>, config: ServerConfig, ctl: Arc<
     // the server runs. Each wakeup computes a logical `now` anchored at
     // the durable clock observed at startup plus real elapsed seconds —
     // monotonic across ticks, and never behind what a restarted server
-    // already persisted. The tick itself serializes through the door's
-    // write side (inside `Service::policy_tick_at`), so it never
-    // interleaves with an apply/reveal/checkpoint or a foreground
-    // statement.
+    // already persisted. Each disguise the tick applies runs in its own
+    // engine transaction (inside `Service::policy_tick_at`), so foreground
+    // statements, applies, reveals and checkpoints wait for it and never
+    // see it half done.
     let decayer = config
         .policy_tick
         .filter(|_| svc.has_policies() && !svc.is_replica())
@@ -426,9 +427,10 @@ fn vault_bootstrap_files(state: &std::path::Path) -> std::io::Result<Vec<(String
 }
 
 /// Handles a `repl stream` handshake: fences by epoch, ships a bootstrap
-/// (checkpoint + state files, copied and registered under the door's
-/// write side so no commit slips between snapshot and live tail), then
-/// runs the sender loop on this worker thread until the stream dies.
+/// (checkpoint + state files, copied and registered inside one engine
+/// transaction so no commit or vault write slips between snapshot and
+/// live tail), then runs the sender loop on this worker thread until the
+/// stream dies.
 fn repl_stream_connection(mut stream: TcpStream, svc: &Arc<Service>, req: &Request) {
     use crate::repl::{self, StreamRecord};
 
@@ -477,15 +479,17 @@ fn repl_stream_connection(mut stream: TcpStream, svc: &Arc<Service>, req: &Reque
         u64,
         Arc<repl::Follower>,
     );
-    let staged = svc.with_write_door(|| -> Result<Staged, String> {
-        let ws = svc.workspace();
+    let ws = svc.workspace();
+    let fail = edna_core::Error::Workspace;
+    let staged = ws.db.transaction(|_| -> edna_core::Result<Staged> {
         ws.save()
-            .map_err(|e| format!("bootstrap checkpoint failed: {e}"))?;
-        let snapshot = std::fs::read(&ws.path).map_err(|e| format!("cannot read snapshot: {e}"))?;
+            .map_err(|e| fail(format!("bootstrap checkpoint failed: {e}")))?;
+        let snapshot =
+            std::fs::read(&ws.path).map_err(|e| fail(format!("cannot read snapshot: {e}")))?;
         let wal =
             std::fs::read(edna_core::workspace::sidecar(&ws.path, ".wal")).unwrap_or_default();
-        let vault =
-            vault_bootstrap_files(&ws.path).map_err(|e| format!("cannot read vault files: {e}"))?;
+        let vault = vault_bootstrap_files(&ws.path)
+            .map_err(|e| fail(format!("cannot read vault files: {e}")))?;
         let last_lsn = ws.db.wal_last_lsn();
         let follower = hub.register(peer.clone());
         Ok((snapshot, wal, vault, last_lsn, follower))
@@ -493,7 +497,7 @@ fn repl_stream_connection(mut stream: TcpStream, svc: &Arc<Service>, req: &Reque
     let (snapshot, wal, vault, last_lsn, follower) = match staged {
         Ok(t) => t,
         Err(e) => {
-            send(&mut stream, &Response::err(code::RUNTIME, e));
+            send(&mut stream, &Response::err(code::RUNTIME, e.to_string()));
             return;
         }
     };

@@ -1,36 +1,33 @@
 //! The shared service: one workspace, many concurrent requests.
 //!
 //! [`Service`] wraps the single open [`Workspace`] in the shape worker
-//! threads need: every operation takes `&self`, and a service-level
-//! reader/writer "door" serializes the operations that cannot overlap.
+//! threads need: every operation takes `&self`. Isolation lives in the
+//! engine, not here: `apply` and `reveal` each run in one
+//! `Database::transaction`, which other threads' statements,
+//! checkpoints and policy ticks wait for, while plain `sql` statements
+//! commit on their own. The one service-level lock is the idempotency
+//! mutex an `apply`/`apply_many` with an `idem` header takes, so its
+//! ledger lookup, application and ledger record are one step against a
+//! same-key retry.
 //!
-//! The engine has exactly one transaction slot (an explicit `BEGIN`
-//! claims the whole database), so the door maps operations onto it:
+//! Wire-level `BEGIN`/`COMMIT`/`ROLLBACK` is rejected outright: a
+//! transaction is a closure in the engine's API, and a remote client
+//! holding one open would stall every other tenant.
 //!
-//! - `sql`, `check`, `stats`, `recover` take the door's **read** side —
-//!   plain statements commit atomically under the engine's own
-//!   per-statement write lock and may interleave freely;
-//! - `apply` and `reveal` run inside an explicit engine transaction and
-//!   take the door's **write** side, as does the background
-//!   checkpointer (a snapshot taken mid-disguise would be consistent
-//!   but operationally confusing);
-//! - wire-level `BEGIN`/`COMMIT`/`ROLLBACK` is rejected outright: a
-//!   remote client holding the global transaction slot open would be a
-//!   denial of service on every other tenant.
-//!
-//! `health` takes no lock at all — it must answer even while a long
-//! apply holds the door, because that is precisely when an operator
-//! probes liveness.
+//! `health` touches no lock at all — it must answer even while a long
+//! apply runs, because that is precisely when an operator probes
+//! liveness.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use edna_core::{render_report, ApplyOptions, Policy, Scheduler, TickOutcome, Workspace};
 use edna_obs::{Counter, Histogram};
 use edna_relational::{Database, Value};
-use edna_util::{frame, sync::read_unpoisoned, sync::write_unpoisoned};
+use edna_util::frame;
+use edna_util::sync::{lock_unpoisoned, read_unpoisoned, write_unpoisoned};
 use edna_vault::ShipKind;
 
 use crate::caps;
@@ -65,8 +62,7 @@ pub enum ReplRole {
     Replica(Arc<ReplicaShared>),
 }
 
-/// Statements that would claim the engine's single explicit-transaction
-/// slot from the wire.
+/// Statements that would hold a transaction open across wire requests.
 fn is_transaction_control(sql: &str) -> bool {
     let first = sql
         .split_whitespace()
@@ -104,9 +100,9 @@ fn idem_key(req: &Request) -> Result<Option<String>, Response> {
 /// The request-handling core, shared across workers behind an `Arc`.
 pub struct Service {
     ws: Workspace,
-    /// The operation door: read = interleavable ops, write = ops that
-    /// own the engine's transaction slot.
-    door: RwLock<()>,
+    /// Held by an `apply`/`apply_many` carrying an `idem` header from its
+    /// ledger lookup through its ledger record.
+    idem: Mutex<()>,
     /// The registered policies with their persisted last-run stamps;
     /// ticked by the decay daemon through [`Service::policy_tick_at`].
     scheduler: Scheduler,
@@ -188,7 +184,7 @@ impl Service {
                 &[100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000],
             ),
             ws,
-            door: RwLock::new(()),
+            idem: Mutex::new(()),
             draining: AtomicBool::new(false),
             repl: RwLock::new(ReplRole::Standalone),
         })
@@ -225,19 +221,11 @@ impl Service {
         matches!(&*read_unpoisoned(&self.repl), ReplRole::Replica(_))
     }
 
-    /// Runs `f` holding the operation door's write side — used by the
-    /// replication handshake, which must freeze all commits while it
-    /// checkpoints and copies the state files.
-    pub(crate) fn with_write_door<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _door = write_unpoisoned(&self.door);
-        f()
-    }
-
     /// Replica-side apply of one shipped WAL frame: verifies the frame
     /// is exactly one clean record, appends it to the local WAL at its
-    /// original LSN (fsynced), then applies it to the live state — all
-    /// under the door's write side so reads never see a torn step.
-    /// Returns the applied LSN.
+    /// original LSN (fsynced), then applies it to the live state — both
+    /// in one transaction, so no read or checkpoint sees one step without
+    /// the other. Returns the applied LSN.
     pub fn apply_shipped_wal(&self, framed: &[u8]) -> edna_core::Result<u64> {
         let scan = frame::scan_records(framed);
         if scan.records.len() != 1 || scan.valid_len != framed.len() {
@@ -247,14 +235,15 @@ impl Service {
         }
         let (lsn, record) = edna_relational::wal::decode_frame_body(&scan.records[0])
             .map_err(edna_core::Error::from)?;
-        let _door = write_unpoisoned(&self.door);
         let wal = self
             .ws
             .db
             .wal()
             .ok_or_else(|| edna_core::Error::Workspace("replica has no WAL attached".into()))?;
-        wal.append_shipped(lsn, framed, &record)?;
-        self.ws.db.apply_shipped(&record)?;
+        self.ws.db.transaction(|db| {
+            wal.append_shipped(lsn, framed, &record)?;
+            db.apply_shipped(&record)
+        })?;
         Ok(lsn)
     }
 
@@ -266,7 +255,6 @@ impl Service {
         bytes: &[u8],
     ) -> Result<(), String> {
         let path = replica::resolve_vault_name(&self.ws.path, name)?;
-        let _door = write_unpoisoned(&self.door);
         replica::apply_vault_file(&path, kind, bytes).map_err(|e| e.to_string())
     }
 
@@ -292,10 +280,9 @@ impl Service {
         self.denied_total.inc();
     }
 
-    /// Checkpoints the workspace (snapshot + WAL truncation), waiting
-    /// out any in-flight apply/reveal first.
+    /// Checkpoints the workspace (snapshot + WAL truncation); the engine
+    /// waits out any in-flight apply/reveal first.
     pub fn checkpoint(&self) -> edna_core::Result<()> {
-        let _door = write_unpoisoned(&self.door);
         self.ws.save()?;
         self.checkpoints_total.inc();
         Ok(())
@@ -308,14 +295,14 @@ impl Service {
     }
 
     /// Runs one scheduler tick at logical time `now`, transforming at
-    /// most roughly `budget` rows, serialized against apply/reveal/
-    /// checkpoint (and foreground statements) through the door's write
-    /// side. The policies evaluate `NOW()` under a thread-scoped clock;
-    /// afterwards — still under the door, so no foreground statement can
-    /// observe time moving mid-statement — the *global* clock is advanced
-    /// to `now` when the tick is ahead of it. The advance is WAL-logged
-    /// and snapshot-persisted, so a restarted server resumes from an
-    /// already-advanced clock instead of rewinding the decay frontier.
+    /// most roughly `budget` rows. Each disguise the tick applies, and its
+    /// vault purge, is one engine transaction, so foreground requests
+    /// interleave between them but never inside. The policies evaluate
+    /// `NOW()` under a thread-scoped clock; afterwards the *global* clock
+    /// is advanced to `now` when the tick is ahead of it. The advance is
+    /// WAL-logged and snapshot-persisted, so a restarted server resumes
+    /// from an already-advanced clock instead of rewinding the decay
+    /// frontier.
     pub fn policy_tick_at(
         &self,
         now: i64,
@@ -327,7 +314,6 @@ impl Service {
                     .to_string(),
             ));
         }
-        let _door = write_unpoisoned(&self.door);
         let outcome = match self.scheduler.tick_budgeted(&self.ws.edna, now, budget) {
             Ok(o) => o,
             Err(e) => {
@@ -400,10 +386,7 @@ impl Service {
             "apply_many" => self.op_apply_many(req),
             "reveal" => self.op_reveal(req),
             "check" => self.op_check(req),
-            "stats" => {
-                let _door = read_unpoisoned(&self.door);
-                Response::ok(self.ws.db.metrics().render_prometheus())
-            }
+            "stats" => Response::ok(self.ws.db.metrics().render_prometheus()),
             "recover" => self.op_recover(req),
             "policy" => self.op_policy(req),
             "repl" => self.op_repl(req),
@@ -423,8 +406,8 @@ impl Service {
         if is_transaction_control(stmt) {
             return Response::err(
                 code::USAGE,
-                "explicit transactions are not available over the wire (the engine has a \
-                 single transaction slot); each statement commits atomically on its own",
+                "explicit transactions are not available over the wire; each statement \
+                 commits atomically on its own",
             );
         }
         // Reserved tables hold capability hashes and disguise bookkeeping;
@@ -437,7 +420,6 @@ impl Service {
                 format!("table {table:?} is reserved and not accessible over the wire"),
             );
         }
-        let _door = read_unpoisoned(&self.door);
         match self.ws.db.execute(stmt) {
             Ok(r) => {
                 let mut body = String::new();
@@ -477,19 +459,24 @@ impl Service {
             Ok(k) => k,
             Err(resp) => return resp,
         };
-        let _door = write_unpoisoned(&self.door);
-        if let Some(key) = &idem {
-            match self.idem_lookup(key) {
-                Ok(Some(replay)) => {
-                    self.idem_replays_total.inc();
-                    return replay;
-                }
-                Ok(None) => {}
-                Err(e) => return Response::err(code::RUNTIME, e),
+        self.idempotent(idem.as_deref(), || self.do_apply(name, user.as_ref(), opts))
+    }
+
+    /// Runs `apply` once per idempotency key: under the idem mutex, a key
+    /// already in the ledger replays its stored reply, and a new key's
+    /// successful reply is recorded before the mutex is released. Without
+    /// a key, `apply` just runs.
+    fn idempotent(&self, key: Option<&str>, apply: impl FnOnce() -> Response) -> Response {
+        let Some(key) = key else { return apply() };
+        let _idem = lock_unpoisoned(&self.idem);
+        match self.idem_lookup(key) {
+            Ok(Some(replay)) => {
+                self.idem_replays_total.inc();
+                replay
             }
+            Ok(None) => self.idem_record(key, apply()),
+            Err(e) => Response::err(code::RUNTIME, e),
         }
-        let resp = self.do_apply(name, user.as_ref(), opts);
-        self.idem_record(idem.as_deref(), resp)
     }
 
     fn do_apply(
@@ -575,43 +562,33 @@ impl Service {
             Ok(k) => k,
             Err(resp) => return resp,
         };
-        let _door = write_unpoisoned(&self.door);
-        if let Some(key) = &idem {
-            match self.idem_lookup(key) {
-                Ok(Some(replay)) => {
-                    self.idem_replays_total.inc();
-                    return replay;
+        self.idempotent(idem.as_deref(), || {
+            match self.ws.edna.apply_many(name, &users, shards) {
+                Ok(report) => {
+                    let mut body = format!(
+                        "applied {} to {} user(s) in {} shard(s): {} succeeded, {} failed\n",
+                        report.name,
+                        report.users,
+                        report.shards,
+                        report.succeeded,
+                        report.failures.len(),
+                    );
+                    for (user, reason) in &report.failures {
+                        body.push_str(&format!("failed {}: {reason}\n", user.to_sql_literal()));
+                    }
+                    Response::ok(body)
+                        .header("users", report.users.to_string())
+                        .header("succeeded", report.succeeded.to_string())
+                        .header("failed", report.failures.len().to_string())
+                        .header("shards", report.shards.to_string())
                 }
-                Ok(None) => {}
-                Err(e) => return Response::err(code::RUNTIME, e),
+                Err(e) => Response::err(code::RUNTIME, e.to_string()),
             }
-        }
-        let resp = match self.ws.edna.apply_many(name, &users, shards) {
-            Ok(report) => {
-                let mut body = format!(
-                    "applied {} to {} user(s) in {} shard(s): {} succeeded, {} failed\n",
-                    report.name,
-                    report.users,
-                    report.shards,
-                    report.succeeded,
-                    report.failures.len(),
-                );
-                for (user, reason) in &report.failures {
-                    body.push_str(&format!("failed {}: {reason}\n", user.to_sql_literal()));
-                }
-                Response::ok(body)
-                    .header("users", report.users.to_string())
-                    .header("succeeded", report.succeeded.to_string())
-                    .header("failed", report.failures.len().to_string())
-                    .header("shards", report.shards.to_string())
-            }
-            Err(e) => Response::err(code::RUNTIME, e.to_string()),
-        };
-        self.idem_record(idem.as_deref(), resp)
+        })
     }
 
     /// Answers a deduplicated retry from the ledger, if `key` has been
-    /// seen. Caller holds the door's write side.
+    /// seen. Caller holds the idem mutex.
     fn idem_lookup(&self, key: &str) -> Result<Option<Response>, String> {
         let mut params = HashMap::new();
         params.insert("K".to_string(), Value::Text(key.to_string()));
@@ -635,10 +612,9 @@ impl Service {
     /// Records a successful reply under its idempotency key so a wire
     /// retry replays it instead of re-applying. Failed applies are not
     /// recorded — they mutated nothing, so retrying them for real is
-    /// correct. Caller holds the door's write side, which is what makes
+    /// correct. Caller holds the idem mutex, which is what makes
     /// lookup-then-record atomic against concurrent retries.
-    fn idem_record(&self, key: Option<&str>, resp: Response) -> Response {
-        let Some(key) = key else { return resp };
+    fn idem_record(&self, key: &str, resp: Response) -> Response {
         if !resp.ok {
             return resp;
         }
@@ -735,7 +711,6 @@ impl Service {
                 "reveal needs the `cap` header minted when the disguise was applied",
             );
         };
-        let _door = write_unpoisoned(&self.door);
         if let Err(e) = caps::verify(&self.ws.db, id, cap) {
             self.denied_total.inc();
             return Response::err(code::DENIED, e.to_string());
@@ -755,7 +730,6 @@ impl Service {
     }
 
     fn op_check(&self, req: &Request) -> Response {
-        let _door = read_unpoisoned(&self.door);
         let reports = match req.arg.as_deref() {
             Some(name) => match self.ws.edna.check(name) {
                 Ok(diags) => vec![(name.to_string(), diags)],
@@ -788,7 +762,6 @@ impl Service {
     }
 
     fn op_recover(&self, req: &Request) -> Response {
-        let _door = read_unpoisoned(&self.door);
         let r = &self.ws.last_recovery;
         let mut body = format!(
             "scanned {} WAL frame(s), replayed {}, truncated {} torn byte(s)\n",
@@ -824,7 +797,6 @@ impl Service {
         if req.arg.as_deref() != Some("status") {
             return Response::err(code::USAGE, "usage: `policy status`");
         }
-        let _door = read_unpoisoned(&self.door);
         let last = self.scheduler.last_runs();
         let mut body = String::from("name\tkind\tcadence\tlast_run\n");
         for p in self.scheduler.policies() {

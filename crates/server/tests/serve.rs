@@ -1,12 +1,14 @@
 //! End-to-end server tests: a real listener, real sockets, concurrent
 //! clients, backpressure, capability enforcement, and graceful drain.
 
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use edna_core::Workspace;
-use edna_server::{code, server, Client, Request, ServerConfig, ServerHandle, Service};
+use edna_core::{Workspace, HISTORY_TABLE};
+use edna_server::{code, server, Client, Request, Response, ServerConfig, ServerHandle, Service};
 
 fn temp_state(tag: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!("edna_serve_test_{tag}_{}", std::process::id()));
@@ -232,7 +234,7 @@ fn slow_apply_does_not_block_health_probes() {
     let (handle, state) = start_server("liveness", config);
     let addr = handle.addr();
 
-    // Slow each statement so the apply holds the door a while.
+    // Grow the table so the apply runs a while.
     {
         let mut c = Client::connect(addr).unwrap();
         // Injected latency is a test knob on the engine, reachable only
@@ -436,6 +438,262 @@ fn apply_many_disguises_a_cohort_over_the_wire() {
         .unwrap();
     assert_eq!(r.code.as_deref(), Some(code::USAGE));
 
+    handle.stop_and_wait().unwrap();
+    cleanup(&state);
+}
+
+/// Sends `req` from two connections released at the same instant and
+/// returns both replies.
+fn race(addr: SocketAddr, req: &Request) -> [Response; 2] {
+    let go = &Barrier::new(2);
+    std::thread::scope(|s| {
+        let racers = [(); 2].map(|()| {
+            s.spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                go.wait();
+                c.request(req).unwrap()
+            })
+        });
+        racers.map(|h| h.join().unwrap())
+    })
+}
+
+/// Rounds per race test: each round is one chance to interleave.
+const RACE_ROUNDS: i64 = 10;
+
+#[test]
+fn racing_applies_with_one_idempotency_key_apply_once() {
+    let (handle, state) = start_server("idem_race", ServerConfig::default());
+    let addr = handle.addr();
+    let mut c = Client::connect(addr).unwrap();
+    for i in 0..RACE_ROUNDS {
+        assert!(
+            c.sql(&format!("INSERT INTO users (name) VALUES ('r{i}')"))
+                .unwrap()
+                .ok
+        );
+    }
+    // Users 4.. are the ones just inserted.
+    for user in 4..4 + RACE_ROUNDS {
+        let req = Request::new("apply")
+            .arg("Gdpr")
+            .header("user", user.to_string())
+            .header("idem", format!("race-{user}"));
+        let [a, b] = race(addr, &req);
+        assert!(a.ok && b.ok, "{} / {}", a.body, b.body);
+        assert!(a.header_value("cap").is_some(), "{}", a.body);
+        assert_eq!(a.header_value("id"), b.header_value("id"));
+        assert_eq!(a.header_value("cap"), b.header_value("cap"));
+    }
+    drop(c);
+    handle.stop_and_wait().unwrap();
+    let ws = Workspace::open(&state, None).unwrap();
+    assert_eq!(
+        ws.db.row_count(HISTORY_TABLE).unwrap(),
+        RACE_ROUNDS as usize,
+        "one history row per idempotency key"
+    );
+    drop(ws);
+    cleanup(&state);
+}
+
+#[test]
+fn racing_reveals_of_one_disguise_restore_it_once() {
+    let (handle, state) = start_server("reveal_race", ServerConfig::default());
+    let addr = handle.addr();
+    let mut c = Client::connect(addr).unwrap();
+    for i in 0..RACE_ROUNDS {
+        assert!(
+            c.sql(&format!("INSERT INTO users (name) VALUES ('r{i}')"))
+                .unwrap()
+                .ok
+        );
+    }
+    for user in 4..4 + RACE_ROUNDS {
+        let r = c.apply("Gdpr", Some(&user.to_string())).unwrap();
+        assert!(r.ok, "{}", r.body);
+        let req = Request::new("reveal")
+            .header("id", r.header_value("id").unwrap())
+            .header("cap", r.header_value("cap").unwrap());
+        let replies = race(addr, &req);
+        let [won, lost] = if replies[0].ok { [0, 1] } else { [1, 0] };
+        assert!(replies[won].ok, "{}", replies[won].body);
+        assert!(!replies[lost].ok, "both reveals succeeded");
+        assert_eq!(replies[lost].code.as_deref(), Some(code::RUNTIME));
+        assert!(
+            replies[lost].body.contains("already reverted"),
+            "{}",
+            replies[lost].body
+        );
+        let r = c
+            .sql(&format!("SELECT name FROM users WHERE id = {user}"))
+            .unwrap();
+        assert_eq!(
+            r.header_value("rows"),
+            Some("1"),
+            "restored once: {}",
+            r.body
+        );
+    }
+    drop(c);
+    handle.stop_and_wait().unwrap();
+    cleanup(&state);
+}
+
+/// Busy-waits `d`: finer than `thread::sleep`, to sweep a race window.
+fn spin(d: Duration) {
+    let t = Instant::now();
+    while t.elapsed() < d {
+        std::hint::spin_loop();
+    }
+}
+
+/// An expiration policy over `Gdpr` that finds users whose last login
+/// is more than 1,000 logical seconds old.
+const EXPIRE_POLICY: &str = "policy_name: \"expire\"\n\
+                             kind: expiration\n\
+                             cadence: 1\n\
+                             disguise: \"Gdpr\"\n\
+                             inactive_after: 1000\n\
+                             user_query: \"SELECT id FROM users WHERE last_login < $CUTOFF\"\n";
+
+#[test]
+fn a_policy_tick_never_disguises_a_user_a_racing_apply_already_did() {
+    const ROUNDS: i64 = 40;
+    let state = temp_state("tick_race");
+    let ws = Workspace::init(&state, None).unwrap();
+    ws.db
+        .execute(
+            "CREATE TABLE users (id INT PRIMARY KEY AUTO_INCREMENT, name TEXT, last_login INT)",
+        )
+        .unwrap();
+    // User k + 1 last logged in at 10k + 5, and round k ticks at
+    // 1,000 + 10k + 6, so the tick finds that user and no other.
+    for k in 0..ROUNDS {
+        ws.db
+            .execute(&format!(
+                "INSERT INTO users (name, last_login) VALUES ('u{k}', {})",
+                10 * k + 5
+            ))
+            .unwrap();
+    }
+    ws.register_spec(SPEC).unwrap();
+    ws.register_policy(EXPIRE_POLICY).unwrap();
+    let svc = Service::new(ws).unwrap();
+    for k in 0..ROUNDS {
+        let user = k + 1;
+        let req = Request::new("apply")
+            .arg("Gdpr")
+            .header("user", user.to_string());
+        let go = Barrier::new(2);
+        // Each round sends the apply a little later, sweeping it across
+        // the tick's query, checks and apply.
+        let (wire, tick) = std::thread::scope(|s| {
+            let wire = s.spawn(|| {
+                go.wait();
+                spin(Duration::from_micros(25 * k as u64));
+                svc.handle(&req)
+            });
+            go.wait();
+            let tick = svc.policy_tick_at(1_000 + 10 * k + 6, None).unwrap();
+            (wire.join().unwrap(), tick)
+        });
+        assert!(wire.ok, "{}", wire.body);
+        let wire_id: u64 = wire.header_value("id").unwrap().parse().unwrap();
+        let ticked: Vec<_> = tick.runs.iter().flat_map(|r| &r.reports).collect();
+        assert!(ticked.len() <= 1, "round {k}: {} disguises", ticked.len());
+        // The tick may disguise the user before the wire apply does, but
+        // never after it: it re-checks inside its own transaction.
+        if let Some(report) = ticked.first() {
+            assert_eq!(report.user_id, edna_relational::Value::Int(user));
+            assert!(
+                report.disguise_id < wire_id,
+                "round {k}: the tick disguised user {user} (id {}) after the wire apply (id {wire_id})",
+                report.disguise_id
+            );
+        }
+    }
+    drop(svc);
+    cleanup(&state);
+}
+
+/// Removes a user's posts, then the user.
+const POSTS_SPEC: &str = r#"
+disguise_name: "GdprPosts"
+user_to_disguise: $UID
+tables: {
+  posts: { transformations: [ Remove(pred: "user_id = $UID") ] },
+  users: { transformations: [ Remove(pred: "id = $UID") ] },
+}
+"#;
+
+#[test]
+fn a_reader_beside_apply_many_sees_each_user_all_or_nothing() {
+    const COHORT: usize = 200;
+    let state = temp_state("apply_many_reader");
+    let ws = Workspace::init(&state, None).unwrap();
+    ws.db
+        .execute("CREATE TABLE users (id INT PRIMARY KEY AUTO_INCREMENT, name TEXT)")
+        .unwrap();
+    ws.db
+        .execute("CREATE TABLE posts (id INT PRIMARY KEY AUTO_INCREMENT, user_id INT, body TEXT)")
+        .unwrap();
+    for user in 1..=COHORT {
+        ws.db
+            .execute(&format!("INSERT INTO users (name) VALUES ('u{user}')"))
+            .unwrap();
+        ws.db
+            .execute(&format!(
+                "INSERT INTO posts (user_id, body) VALUES ({user}, 'a'), ({user}, 'b')"
+            ))
+            .unwrap();
+    }
+    ws.register_spec(POSTS_SPEC).unwrap();
+    let svc = Arc::new(Service::new(ws).unwrap());
+    let handle = server::start(svc, ServerConfig::default()).unwrap();
+    let addr = handle.addr();
+
+    // Users present without their posts: a disguise seen half done.
+    let half_disguised = "SELECT COUNT(*) FROM users u LEFT JOIN posts p ON p.user_id = u.id \
+                          WHERE p.id IS NULL";
+    let done = AtomicBool::new(false);
+    let reads = std::thread::scope(|s| {
+        s.spawn(|| {
+            let ids: String = (1..=COHORT).map(|i| format!("{i}\n")).collect();
+            let mut c = Client::connect(addr).unwrap();
+            let r = c
+                .request(
+                    &Request::new("apply_many")
+                        .arg("GdprPosts")
+                        .header("shards", "4")
+                        .body(ids),
+                )
+                .unwrap();
+            done.store(true, Ordering::SeqCst);
+            assert!(r.ok, "{}", r.body);
+            assert_eq!(
+                r.header_value("succeeded"),
+                Some(COHORT.to_string().as_str())
+            );
+        });
+        let mut c = Client::connect(addr).unwrap();
+        let mut reads = 0;
+        loop {
+            let finished = done.load(Ordering::SeqCst);
+            let r = c.sql(half_disguised).unwrap();
+            assert!(r.ok, "{}", r.body);
+            assert_eq!(r.body.lines().nth(1), Some("0"), "read {reads}: {}", r.body);
+            reads += 1;
+            if finished {
+                break reads;
+            }
+        }
+    });
+    assert!(reads > 1, "the reader never ran beside the apply_many");
+    let mut c = Client::connect(addr).unwrap();
+    let r = c.sql("SELECT COUNT(*) FROM posts").unwrap();
+    assert_eq!(r.body.lines().nth(1), Some("0"), "{}", r.body);
+    drop(c);
     handle.stop_and_wait().unwrap();
     cleanup(&state);
 }

@@ -25,6 +25,17 @@ echo "==> wirebench (build + unit tests)"
 cargo build --release --offline --manifest-path wirebench/Cargo.toml
 cargo test --offline --manifest-path wirebench/Cargo.toml --quiet
 
+echo "==> wirebench mixed (reads beside applies, reveals, ticks, checkpoints)"
+# One run of the benchmark's `mixed` workload through the real server.
+# wirebench exits 1 on any wrong reply or failed end-of-run check (wire
+# `recover --verify`, disguised users own no stories, comments or votes,
+# revealed users get their names back), so every concurrency change is
+# exercised against reads beside applies, reveals, policy ticks and
+# checkpoints. 15 s is about the shortest run whose samples support a
+# p50.
+cargo run --release --offline --quiet --manifest-path wirebench/Cargo.toml -- \
+    --workload mixed --seed 1 --seconds 15 --trace 0
+
 echo "==> edna check (static analysis over every bundled spec)"
 CHECK_DIR=$(mktemp -d)
 trap 'rm -rf "$CHECK_DIR"' EXIT

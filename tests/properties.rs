@@ -8,7 +8,7 @@
 
 use edna::core::spec::{DisguiseSpecBuilder, Generator, Modifier};
 use edna::core::Disguiser;
-use edna::relational::{parse_expr, Database, Expr, Value};
+use edna::relational::{parse_expr, Database, Error as RelError, Expr, Value};
 use edna::util::buf::BytesMut;
 use edna::util::rng::{Prng, Rng};
 use edna::vault::{recover, split, VaultKey};
@@ -175,21 +175,22 @@ fn transaction_rollback_restores_state() {
         db.execute("INSERT INTO t (name, karma) VALUES ('base', 0)")
             .unwrap();
         let before = db.dump();
-        db.begin().unwrap();
-        let n = rng.gen_range(1usize..12);
-        for _ in 0..n {
-            let name: String = (0..rng.gen_range(1usize..=8))
-                .map(|_| (b'a' + rng.gen_range(0..26u8)) as char)
-                .collect();
-            let karma = rng.gen_range(-100i64..100);
-            db.execute(&format!(
-                "INSERT INTO t (name, karma) VALUES ('{name}', {karma})"
-            ))
-            .unwrap();
-        }
-        db.execute("UPDATE t SET karma = karma + 1").unwrap();
-        db.execute("DELETE FROM t WHERE karma > 50").unwrap();
-        db.rollback().unwrap();
+        let rolled_back: Result<(), RelError> = db.transaction(|db| {
+            let n = rng.gen_range(1usize..12);
+            for _ in 0..n {
+                let name: String = (0..rng.gen_range(1usize..=8))
+                    .map(|_| (b'a' + rng.gen_range(0..26u8)) as char)
+                    .collect();
+                let karma = rng.gen_range(-100i64..100);
+                db.execute(&format!(
+                    "INSERT INTO t (name, karma) VALUES ('{name}', {karma})"
+                ))?;
+            }
+            db.execute("UPDATE t SET karma = karma + 1")?;
+            db.execute("DELETE FROM t WHERE karma > 50")?;
+            Err(RelError::Txn("roll back".to_string()))
+        });
+        assert_eq!(rolled_back, Err(RelError::Txn("roll back".to_string())));
         assert_eq!(db.dump(), before);
     }
 }
