@@ -48,7 +48,9 @@ fn apply_and_reveal(db: &Database, edna: &Disguiser, user: i64) -> (StatsSnapsho
 #[test]
 fn apply_and_reveal_counters_do_not_grow_with_history() {
     let (db, edna) = lobsters();
-    // An uninvited user, so its reveal can re-insert the account row.
+    // An uninvited user: the deep state's applies to other users leave
+    // its account row as the fresh state has it, so both reveals
+    // re-insert the same row.
     let target = ids(
         &db,
         "SELECT id FROM users WHERE invited_by_user_id IS NULL ORDER BY id DESC LIMIT 1",
@@ -83,6 +85,21 @@ fn apply_and_reveal_counters_do_not_grow_with_history() {
         );
         assert_eq!(fresh.table_scans, deep.table_scans, "{what}");
     }
+    // The fresh state's exact work, `(statements, rows read, rows
+    // written, index probes, table scans)`: a change that moves any of
+    // these moves the cost of every disguise, so it re-pins them on
+    // purpose.
+    let work = |s: &StatsSnapshot| {
+        (
+            s.statements,
+            s.rows_read,
+            s.rows_written,
+            s.index_probes,
+            s.table_scans,
+        )
+    };
+    assert_eq!(work(&apply_fresh), (40, 53, 40, 81, 0), "apply");
+    assert_eq!(work(&reveal_fresh), (65, 57, 40, 249, 1), "reveal");
     assert_eq!(apply_fresh.table_scans, 0, "apply: every lookup probes");
     // The reveal's one scan is `active_after`'s `id > $ID` range, which
     // matches nothing newer than the revealed disguise here.

@@ -357,6 +357,52 @@ fn audit_is_green_on_demos() {
     cleanup(&state);
 }
 
+/// The first cell of `sql`'s first result row, as the binary prints it.
+fn first_cell(s: &str, sql: &str) -> String {
+    let (ok, stdout, stderr) = edna(&["sql", s, sql]);
+    assert!(ok, "{sql}: {stderr}");
+    // Line 0 is the header and line 1 its rule.
+    stdout
+        .lines()
+        .nth(2)
+        .and_then(|l| l.split_whitespace().next())
+        .unwrap_or_default()
+        .to_string()
+}
+
+#[test]
+fn a_reveal_survives_a_later_disguise_of_its_inviter() {
+    // User 3 was invited by user 1. Disguising 3, then 1, then revealing
+    // 3 re-inserts an account whose inviter is gone; re-applying user 1's
+    // disguise sets that key to NULL, and revealing user 1 restores it
+    // from the addendum that re-application wrote.
+    let state = temp_state("cross_user_reveal");
+    let s = state.to_str().unwrap();
+    let (ok, _, stderr) = edna(&["demo", s, "lobsters"]);
+    assert!(ok, "demo failed: {stderr}");
+    let inviter = "SELECT invited_by_user_id FROM users WHERE id = 3";
+    assert_eq!(first_cell(s, inviter), "1");
+
+    for (user, id) in [("3", "(id 1)"), ("1", "(id 2)")] {
+        let (ok, stdout, stderr) = edna(&["apply", s, "Lobsters-GDPR", "--user", user]);
+        assert!(ok, "apply --user {user}: {stderr}");
+        assert!(stdout.contains(id), "{stdout}");
+    }
+    let (ok, stdout, stderr) = edna(&["reveal", s, "--id", "1"]);
+    assert!(ok, "reveal --id 1: {stderr}");
+    assert!(stdout.contains("re-applied [(2,"), "{stdout}");
+    assert_eq!(first_cell(s, inviter), "NULL", "user 3 is back, uninvited");
+
+    let (ok, _, stderr) = edna(&["reveal", s, "--id", "2"]);
+    assert!(ok, "reveal --id 2: {stderr}");
+    assert_eq!(first_cell(s, inviter), "1", "the inviter is restored");
+
+    let (ok, stdout, stderr) = edna(&["recover", s, "--verify"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("integrity: ok"), "{stdout}");
+    cleanup(&state);
+}
+
 #[test]
 fn audit_rejects_vault_orphaning_counterexample() {
     let state = counterexample_state(

@@ -6,10 +6,10 @@
 //! policy, producing `E05x`/`W05x` diagnostics:
 //!
 //! - **E050** reveal-unreachable: some interleaving leaves a reversible
-//!   disguise's data unrecoverable — its reveal can never run to
-//!   completion.
+//!   disguise's data unrecoverable — no reveal brings it back to
+//!   `Present`.
 //! - **E051** vault-orphaned: the same interleaving strands that
-//!   disguise's vault entry; no reveal can ever consume it.
+//!   disguise's vault entry; no reveal can ever bring its rows back.
 //! - **E052** policy-diverges: a decay ladder provably rewrites some
 //!   column on every run (e.g. re-hashing a hash) — the decay frontier
 //!   never reaches a fixed point and vaults grow without bound.
@@ -107,7 +107,7 @@ pub fn audit_workspace(
                 Location::table(&s.table),
                 format!(
                     "`{}`'s vault entry for `{}` is orphaned in this interleaving: \
-                     apply writes it, but no reveal can ever consume it",
+                     apply writes it, but no reveal can ever bring its rows back",
                     s.app, s.table
                 ),
             ));

@@ -190,11 +190,11 @@ pub mod codes {
     /// A PII-annotated column is left untouched by a spec that transforms
     /// its table.
     pub const PII_GAP: &str = "W040";
-    /// Audit: some interleaving makes a reversible disguise's reveal
-    /// permanently impossible.
+    /// Audit: in some interleaving no reveal of a reversible disguise
+    /// brings its data back.
     pub const REVEAL_UNREACHABLE: &str = "E050";
-    /// Audit: some interleaving strands a vault entry no reveal can
-    /// consume.
+    /// Audit: some interleaving strands a vault entry whose rows no
+    /// reveal can bring back.
     pub const VAULT_ORPHANED: &str = "E051";
     /// Audit: a decay ladder provably rewrites a column on every run.
     pub const POLICY_DIVERGES: &str = "E052";

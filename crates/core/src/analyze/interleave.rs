@@ -2,24 +2,30 @@
 //!
 //! The workspace's registered disguises (plus the disguises policies
 //! schedule — expiration targets and decay stages are registered specs
-//! too) can be applied in any order, to the same user or across users.
-//! [`explore`] enumerates every application order (each spec at most
-//! once — re-applying a spec to already-disguised rows realizes no new
-//! effects, the same reason no-op applications are pruned below) over
-//! the abstract state, and for **every reachable world** checks that the
+//! too) can be applied in any order. [`explore`] enumerates every
+//! application order for one abstract user (each spec at most once —
+//! re-applying a spec to already-disguised rows realizes no new effects,
+//! the same reason no-op applications are pruned below) over the
+//! abstract state, and for **every reachable world** checks that the
 //! disguised state can be *walked back*:
 //!
 //! - a reversible application is revealed by consuming its vault entry,
-//!   which reinserts the rows it removed — legal only while the parent
-//!   rows its reinsertions reference still exist (reveal.rs would hit FK
-//!   violations otherwise, and retries forever in its fixpoint loop);
+//!   which reinserts the rows it removed — they come back only while the
+//!   parent rows they reference still exist (reveal.rs checks references
+//!   at commit, after re-applying later disguises: a dangling one fails
+//!   the reveal, or a later `Remove` takes the rows away again);
 //! - revealing is attempted newest-first (LIFO) and re-attempted to a
-//!   fixed point, mirroring reveal.rs's reinsert loop and its
-//!   re-application of later active disguises;
+//!   fixed point, since one reveal can bring back the parents another
+//!   needs;
 //! - an application that can never be revealed in any continuation is a
 //!   **stuck reveal**: its vault entries are orphaned (no reveal can
-//!   consume them) and the data it removed can never return to
+//!   bring their rows back) and the data it removed can never return to
 //!   `Present`, despite the spec promising reversibility.
+//!
+//! With one abstract user, the search never applies one user-scoped spec
+//! to two users whose rows a foreign key links (one user's account
+//! referencing another's, say), nor counts self-references as reinsert
+//! dependencies, so it can miss a stuck reveal between users.
 //!
 //! A second, stricter pass treats `expires_after` specs as irreversible
 //! (their entries vanish on expiry — `purge_expired` really deletes
@@ -155,8 +161,7 @@ impl World {
     }
 
     /// Attempts to reveal every vaulted application, newest-first, to a
-    /// fixed point (mirroring reveal.rs's reinsert retry loop). Returns
-    /// the positions that can never be revealed.
+    /// fixed point. Returns the positions that can never be revealed.
     fn walk_back(&self, transfers: &[SpecTransfer], strict_expiry: bool) -> Vec<usize> {
         let revealable = |pos: usize| {
             let app = &self.apps[pos];

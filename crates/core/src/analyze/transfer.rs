@@ -8,9 +8,9 @@
 //!   with the parent and records them in the same vault entry, and sets
 //!   `ON DELETE SET NULL` child columns);
 //! - every removed table carries its **reinsert dependencies**: the
-//!   parent tables its rows reference, which a reveal's `ReinsertRow`
-//!   ops need present (reveal.rs re-inserts in a fixpoint loop, so
-//!   intra-entry and self-referential ordering is already handled —
+//!   parent tables its rows reference, which must be present when a
+//!   reveal's `ReinsertRow` ops commit (foreign keys are checked at
+//!   commit, so the order of re-inserts within a reveal never matters —
 //!   only *cross-disguise* parents can be permanently missing);
 //! - `Modify`/`Decorrelate` become column writes.
 //!
@@ -181,8 +181,9 @@ fn cascade_closure(db: &Database, table: &str) -> Vec<String> {
 }
 
 /// Parent tables the rows of `table` reference: reinserting vaulted
-/// rows of `table` needs these present. Self-references are excluded
-/// (reveal's fixpoint loop reinserts a table's own hierarchy).
+/// rows of `table` needs these present. Self-references are excluded:
+/// with one abstract user, a reveal re-inserts a table's own hierarchy
+/// in one transaction.
 fn reinsert_parents(db: &Database, table: &str) -> Vec<String> {
     let Ok(schema) = db.schema(table) else {
         return Vec::new();

@@ -191,10 +191,9 @@ pub struct ApplyManyReport {
     pub users: usize,
     /// Users disguised successfully.
     pub succeeded: usize,
-    /// Users whose application failed, with the error rendered. A failed
-    /// user may be partially disguised: `apply_many` runs without a
-    /// wrapping transaction (shards commit statement-by-statement through
-    /// the group-commit WAL), so there is nothing to roll back.
+    /// Users whose application failed, with the error rendered: either
+    /// it rolled back, or its vault write failed after it committed (see
+    /// `degraded`).
     pub failures: Vec<(Value, String)>,
     /// Shards the users were hash-partitioned into.
     pub shards: usize,
@@ -277,8 +276,6 @@ pub struct Disguiser {
     pub(crate) warnings: RwLock<HashMap<String, Vec<Diagnostic>>>,
     pub(crate) rng: Mutex<Prng>,
     pub(crate) journal: Mutex<Option<VaultJournal>>,
-    /// Options used by [`Disguiser::apply`].
-    pub options: ApplyOptions,
 }
 
 /// The placeholder RNG seed of a fresh state.
@@ -320,7 +317,6 @@ impl Disguiser {
             warnings: RwLock::new(HashMap::new()),
             rng: Mutex::new(Prng::seed_from_u64(seed)),
             journal: Mutex::new(None),
-            options: ApplyOptions::default(),
         }
     }
 
@@ -573,12 +569,7 @@ impl Disguiser {
         self.db.transaction(|_| Ok(self.vaults.purge_expired(now)?))
     }
 
-    /// Applies a registered disguise with [`Disguiser::options`].
-    ///
-    /// If an end-state assertion fails with composition disabled, the
-    /// application is rolled back and retried once with composition
-    /// enabled (the paper's §7 "revert ... and try again with a different
-    /// mechanism").
+    /// Applies a registered disguise with the default [`ApplyOptions`].
     pub fn apply(&self, name: &str, user: Option<&Value>) -> Result<DisguiseReport> {
         let applied = self.apply_if(name, user, |_| Ok(true))?;
         Ok(applied.expect("an unconditional apply always applies"))
@@ -589,25 +580,14 @@ impl Disguiser {
     /// `Ok(None)` otherwise. The check and the application are one step
     /// to other threads, so a caller that picked the user earlier (a
     /// policy tick) cannot apply on top of a concurrent apply of the same
-    /// disguise, or to a user who became active meanwhile. Without
-    /// [`ApplyOptions::use_transaction`] the check is not isolated.
+    /// disguise, or to a user who became active meanwhile.
     pub fn apply_if(
         &self,
         name: &str,
         user: Option<&Value>,
         due: impl Fn(&Disguiser) -> Result<bool>,
     ) -> Result<Option<DisguiseReport>> {
-        let opts = self.options;
-        match self.apply_checked(name, user, opts, &due) {
-            Err(Error::AssertionFailed { .. }) if !opts.compose => {
-                let retry = ApplyOptions {
-                    compose: true,
-                    ..opts
-                };
-                self.apply_checked(name, user, retry, &due)
-            }
-            other => other,
-        }
+        self.apply_checked(name, user, ApplyOptions::default(), &due)
     }
 
     /// Applies a registered disguise with explicit options.
@@ -660,7 +640,13 @@ impl Disguiser {
         // vault entry is NOT undone here; the intent marker stays open and
         // the next recovery resolves it against what actually persisted
         // (history row present → entry is legitimate; absent → removed).
-        let Some(mut report) = self.transact(opts, apply)? else {
+        // Without `use_transaction` the statements commit one by one.
+        let applied = if opts.use_transaction {
+            self.db.transaction(|_| apply())
+        } else {
+            apply()
+        };
+        let Some(mut report) = applied? else {
             return Ok(None);
         };
         // The disguise is durable: close the intent bracket. Losing this
@@ -679,20 +665,6 @@ impl Disguiser {
         Ok(Some(report))
     }
 
-    /// Runs `f` in one transaction if `opts.use_transaction`, else
-    /// directly, its statements committing one by one.
-    pub(crate) fn transact<T>(
-        &self,
-        opts: ApplyOptions,
-        f: impl FnOnce() -> Result<T>,
-    ) -> Result<T> {
-        if opts.use_transaction {
-            self.db.transaction(|_| f())
-        } else {
-            f()
-        }
-    }
-
     /// Applies a user-scoped disguise to many users at once, sharded by
     /// owner hash across a scoped thread pool (ROADMAP: mass disguising —
     /// "10k departing users in one request").
@@ -700,8 +672,8 @@ impl Disguiser {
     /// Each shard owns a disjoint set of users (owner-column predicates
     /// make their row sets disjoint too, which is what makes the shards
     /// independent), applies the disguise to each user in a transaction
-    /// of its own (with [`ApplyOptions::use_transaction`]), so other
-    /// threads see a user's disguise all or nothing — the shards' work
+    /// of its own, with the default [`ApplyOptions`], so other threads
+    /// see a user's disguise all or nothing — the shards' work
     /// serializes on the engine gate, but their commits wait for the
     /// group-commit WAL after releasing it and share fsyncs — and batches
     /// its vault puts (in one short transaction) and intent-close markers
@@ -710,13 +682,11 @@ impl Disguiser {
     ///
     /// Failure semantics: a user whose application errors is rolled back,
     /// reported in [`ApplyManyReport::failures`], and does not stop the
-    /// rest. If a
-    /// batched vault put fails, the affected users' database changes are
-    /// already committed and cannot be rolled back; the failure policy
-    /// decides between marking them degraded (irreversible, the *require*
-    /// and *degrade* policies) or spooling to the journal (*buffer*).
-    /// Open WAL intents from a crash mid-`apply_many` are resolved by the
-    /// next recovery exactly as for single applications.
+    /// rest. If a batched vault put fails, the affected users' database
+    /// changes are already committed and cannot be rolled back: they are
+    /// marked degraded (irreversible) and reported failed. Open WAL
+    /// intents from a crash mid-`apply_many` are resolved by the next
+    /// recovery exactly as for single applications.
     pub fn apply_many(
         &self,
         name: &str,
@@ -752,13 +722,12 @@ impl Disguiser {
             buckets[owner_shard(user, shard_count)].push(user.clone());
         }
 
-        let opts = self.options;
         let spec = &spec;
         let outcomes: Vec<ShardOutcome> = std::thread::scope(|s| {
             let handles: Vec<_> = buckets
                 .iter()
                 .filter(|b| !b.is_empty())
-                .map(|bucket| s.spawn(move || self.apply_shard(spec, bucket, opts)))
+                .map(|bucket| s.spawn(move || self.apply_shard(spec, bucket)))
                 .collect();
             handles
                 .into_iter()
@@ -806,12 +775,8 @@ impl Disguiser {
     /// One shard of [`Disguiser::apply_many`]: applies the disguise to its
     /// users chunk by chunk, flushing each chunk's vault entries in one
     /// batched put and then closing their WAL intent brackets.
-    fn apply_shard(
-        &self,
-        spec: &DisguiseSpec,
-        users: &[Value],
-        opts: ApplyOptions,
-    ) -> ShardOutcome {
+    fn apply_shard(&self, spec: &DisguiseSpec, users: &[Value]) -> ShardOutcome {
+        let opts = ApplyOptions::default();
         let mut out = ShardOutcome::default();
         for chunk in users.chunks(Self::VAULT_PUT_BATCH) {
             let mut pending: Vec<PendingVaultPut> = Vec::new();
@@ -822,7 +787,7 @@ impl Disguiser {
                 // A failed commit is ambiguous, as for a single apply: the
                 // user's deferred vault entry stays in the batch and the
                 // open intent lets recovery decide.
-                match self.transact(opts, || {
+                match self.db.transaction(|_| {
                     self.apply_inner(spec, user, &params, opts, Some(&mut pending))
                 }) {
                     Ok(report) => applied.push((user.clone(), report)),
@@ -839,7 +804,7 @@ impl Disguiser {
             // the vault files halfway through the chunk's puts.
             let flushed = self
                 .db
-                .transaction(|_| Ok::<_, Error>(self.flush_pending_puts(pending, opts, &mut out)));
+                .transaction(|_| Ok::<_, Error>(self.flush_pending_puts(pending, &mut out)));
             let flush_failures = match flushed {
                 Ok(failures) => failures,
                 // Its degraded marks did not commit: fail the whole chunk.
@@ -874,12 +839,11 @@ impl Disguiser {
     /// Flushes one chunk's deferred vault puts: the fast path is a single
     /// batched `put_all` per tier. If a batch fails, falls back to
     /// idempotent per-entry puts (a prefix of the batch may already be
-    /// stored) and applies the vault failure policy to each entry that
-    /// still cannot be stored. Returns the users to be marked failed.
+    /// stored) and marks each entry that still cannot be stored degraded.
+    /// Returns the users to be marked failed.
     fn flush_pending_puts(
         &self,
         pending: Vec<PendingVaultPut>,
-        opts: ApplyOptions,
         out: &mut ShardOutcome,
     ) -> Vec<(Value, String)> {
         if pending.is_empty() {
@@ -915,30 +879,12 @@ impl Disguiser {
                     Err(e) => e,
                 };
                 // The database changes are committed; nothing to roll
-                // back. Degrade (or spool) instead, so the history row
-                // never offers a reveal it cannot honor.
-                match opts.vault_failure_policy {
-                    VaultFailurePolicy::Require | VaultFailurePolicy::Degrade => {
-                        let reason = format!("vault write failed: {vault_err}");
-                        let _ = self.history.mark_degraded(p.disguise_id, &reason);
-                        out.degraded += 1;
-                        if opts.vault_failure_policy == VaultFailurePolicy::Require {
-                            failures.push((p.entry.user_id.clone(), reason));
-                        }
-                    }
-                    VaultFailurePolicy::Buffer => match lock_unpoisoned(&self.journal).as_ref() {
-                        Some(journal) => {
-                            if let Err(e) = journal.append(tier, &p.entry) {
-                                failures.push((p.entry.user_id.clone(), e.to_string()));
-                            } else {
-                                out.vault_entries += 1;
-                            }
-                        }
-                        None => {
-                            failures.push((p.entry.user_id.clone(), Error::NoJournal.to_string()))
-                        }
-                    },
-                }
+                // back. Degrade instead, so the history row never offers
+                // a reveal it cannot honor.
+                let reason = format!("vault write failed: {vault_err}");
+                let _ = self.history.mark_degraded(p.disguise_id, &reason);
+                out.degraded += 1;
+                failures.push((p.entry.user_id.clone(), reason));
             }
         }
         failures
@@ -1044,6 +990,10 @@ impl Disguiser {
                 .record(&spec.name, user_value, now, spec.reversible)?
         };
         report.disguise_id = id;
+        // Every reference written so far must resolve before anything
+        // leaves the database: neither the intent marker nor the vault put
+        // below rolls back with the transaction.
+        self.db.check_references()?;
         if spec.reversible && !ops.is_empty() {
             let _phase = self.span("vault_write");
             // Durable intent marker *before* any vault-side write: if the

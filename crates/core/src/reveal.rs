@@ -7,19 +7,25 @@
 //! reversal of GDPR must avoid reintroducing identifiable reviews if
 //! ConfAnon has occurred since GDPR was applied.")
 //!
-//! The workspace audit ([`crate::analyze::interleave`]) models exactly
-//! this path: reveals are walked back newest-first with the same
-//! reinsert-retry fixpoint as [`Disguiser::reveal`]'s `ReinsertRow`
-//! loop, and a reveal is only considered reachable if every parent row
-//! its reinsertions reference can still exist. Changes to the reveal
-//! semantics here (skip rules, re-application, reinsert ordering) must
-//! be mirrored in the audit's transfer model or its proofs go stale.
+//! A reveal is one transaction, and the engine checks foreign keys at its
+//! commit: rows are re-inserted in any order, and a re-inserted row may
+//! name a parent another disguise removed as long as re-application
+//! rewrites that key (a later disguise's `SetNull` of the removed user,
+//! say). A reference still dangling after re-application fails the
+//! reveal with [`Error::NotReversible`] ("missing parents") before any
+//! vault changes.
+//!
+//! The workspace audit ([`crate::analyze::interleave`]) models this path
+//! for one abstract user: a reveal counts as reachable only if every
+//! parent its re-inserted rows reference can still exist. Changes to the
+//! reveal semantics here (skip rules, re-application) must be mirrored
+//! in the audit's transfer model or its proofs go stale.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use edna_relational::{Error as RelError, Value};
-use edna_vault::{RevealOp, VaultEntry};
+use edna_vault::{RevealOp, VaultEntry, VaultTier};
 
 use crate::apply::{pk_of, pk_pred, DisguiseReport, Disguiser};
 use crate::error::{Error, Result};
@@ -63,18 +69,17 @@ impl Disguiser {
         self.reveal(event.id)
     }
 
-    /// Reverts disguise application `disguise_id`. With
-    /// [`crate::ApplyOptions::use_transaction`] set, the checks that the
-    /// disguise is still revealable run inside the reveal's transaction,
-    /// so of two concurrent reveals of one id exactly one restores the
-    /// rows and the other fails with [`Error::AlreadyReverted`].
+    /// Reverts disguise application `disguise_id` in one transaction. The
+    /// checks that the disguise is still revealable run inside it, so of
+    /// two concurrent reveals of one id exactly one restores the rows and
+    /// the other fails with [`Error::AlreadyReverted`].
     pub fn reveal(&self, disguise_id: u64) -> Result<RevealReport> {
         let mut root = self.span("reveal");
         if let Some(g) = root.as_mut() {
             g.attr("disguise_id", disguise_id.to_string());
         }
         let started = Instant::now();
-        let mut report = self.transact(self.options, || self.reveal_inner(disguise_id))?;
+        let mut report = self.db.transaction(|_| self.reveal_inner(disguise_id))?;
         report.duration = started.elapsed();
         Ok(report)
     }
@@ -116,73 +121,41 @@ impl Disguiser {
         // re-application pass.
         let mut revealed: HashMap<String, Vec<Value>> = HashMap::new();
 
-        // Phase 1: re-insert removed rows, newest-removed first (cascaded
-        // children were recorded before their parents, so the reverse order
-        // restores parents first). A fixpoint loop tolerates cross-entry
-        // orderings.
+        // Phase 1: re-insert removed rows, each once. Their references are
+        // checked after re-application, so the order does not matter;
+        // newest-removed first gives each row back the slot it freed.
         let reinsert_span = self.span("reinsert");
-        let mut pending: Vec<&RevealOp> = all_ops
-            .iter()
-            .rev()
-            .copied()
-            .filter(|op| matches!(op, RevealOp::ReinsertRow { .. }))
-            .collect();
-        loop {
-            let mut next_round = Vec::new();
-            let mut progressed = false;
-            for op in pending {
-                let RevealOp::ReinsertRow {
-                    table,
-                    columns,
-                    row,
-                } = op
-                else {
-                    unreachable!()
-                };
-                let schema = self.db.schema(table)?;
-                let (row, adapted) = adapt_row(&schema, columns, row);
-                if adapted {
-                    report.rows_schema_adapted += 1;
+        for op in all_ops.iter().rev() {
+            let RevealOp::ReinsertRow {
+                table,
+                columns,
+                row,
+            } = op
+            else {
+                continue;
+            };
+            let schema = self.db.schema(table)?;
+            let (row, adapted) = adapt_row(&schema, columns, row);
+            if adapted {
+                report.rows_schema_adapted += 1;
+            }
+            match self.db.insert_full_row(table, row.clone()) {
+                Ok(()) => {
+                    report.rows_reinserted += 1;
+                    if let Ok((pk_idx, _)) = pk_of(&schema, "reveal") {
+                        revealed
+                            .entry(table.to_lowercase())
+                            .or_default()
+                            .push(row[pk_idx].clone());
+                    }
                 }
-                match self.db.insert_full_row(table, row.clone()) {
-                    Ok(()) => {
-                        progressed = true;
-                        report.rows_reinserted += 1;
-                        if let Ok((pk_idx, _)) = pk_of(&schema, "reveal") {
-                            revealed
-                                .entry(table.to_lowercase())
-                                .or_default()
-                                .push(row[pk_idx].clone());
-                        }
-                    }
-                    Err(RelError::UniqueViolation { .. }) => {
-                        // Already present (e.g. the application re-created
-                        // it); nothing to do.
-                        report.skipped_missing += 1;
-                    }
-                    Err(RelError::ForeignKeyViolation { .. }) => {
-                        // Parent not restored yet; retry next round.
-                        next_round.push(op);
-                    }
-                    Err(e) => return Err(e.into()),
+                Err(RelError::UniqueViolation { .. }) => {
+                    // Already present (e.g. the application re-created
+                    // it); nothing to do.
+                    report.skipped_missing += 1;
                 }
+                Err(e) => return Err(e.into()),
             }
-            if next_round.is_empty() {
-                break;
-            }
-            if !progressed {
-                let RevealOp::ReinsertRow { table, .. } = next_round[0] else {
-                    unreachable!()
-                };
-                return Err(Error::NotReversible {
-                    disguise_id,
-                    reason: format!(
-                        "cannot re-insert {} row(s) into {table}: missing parents",
-                        next_round.len()
-                    ),
-                });
-            }
-            pending = next_round;
         }
         drop(reinsert_span);
 
@@ -265,8 +238,9 @@ impl Disguiser {
         drop(gc_span);
 
         // Re-application: later active disguises must still hold over the
-        // revealed rows (§4.2).
+        // revealed rows (§4.2). Their addenda wait for the reference check.
         let reapply_span = self.span("reapply");
+        let mut addenda: Vec<(VaultTier, VaultEntry)> = Vec::new();
         for later in self.history.active_after(disguise_id)? {
             let Some(spec) = edna_util::sync::read_unpoisoned(&self.specs)
                 .get(&later.name)
@@ -333,15 +307,32 @@ impl Disguiser {
                         created_at: now,
                         expires_at: spec.expires_after.map(|d| now + d),
                     };
-                    self.vaults.put(spec.vault_tier, &addendum)?;
+                    addenda.push((spec.vault_tier, addendum));
                 }
             }
         }
         drop(reapply_span);
 
-        // The reveal is permanent: drop the entries and mark the event.
-        self.vaults.remove(&event.user_id, disguise_id)?;
+        // Every revealed row must now reference live parents. Checked
+        // before the vaults change, since they do not roll back.
+        self.db.check_references().map_err(|e| match e {
+            RelError::ForeignKeyViolation {
+                table,
+                column,
+                detail,
+            } => Error::NotReversible {
+                disguise_id,
+                reason: format!("revealed {table} rows have missing parents ({column}: {detail})"),
+            },
+            e => e.into(),
+        })?;
+        // The reveal is permanent: mark the event, then write the addenda
+        // and drop the entries.
         self.history.mark_reverted(disguise_id)?;
+        for (tier, addendum) in &addenda {
+            self.vaults.put(*tier, addendum)?;
+        }
+        self.vaults.remove(&event.user_id, disguise_id)?;
         Ok(report)
     }
 }

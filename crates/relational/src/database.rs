@@ -461,20 +461,14 @@ impl Database {
         } else {
             inner.txn = Some(Txn::implicit());
             match f(inner) {
-                Ok(v) => {
-                    let txn = inner.txn.take().expect("installed above");
-                    // Stage the redo frame while the lock still excludes
-                    // other writers (the LSN order must match commit
-                    // order); the durability wait happens after release
-                    // so concurrent committers share one batch fsync.
-                    match self.wal_stage_commit(inner, txn) {
-                        Ok(t) => {
-                            ticket = t;
-                            Ok(v)
-                        }
-                        Err(e) => Err(e),
-                    }
-                }
+                // Commit, references checked and redo frame staged, while
+                // the lock still excludes other writers (the LSN order must
+                // match commit order); the durability wait happens after
+                // release so concurrent committers share one batch fsync.
+                Ok(v) => self.commit(inner).map(|t| {
+                    ticket = t;
+                    v
+                }),
                 Err(e) => {
                     let txn = inner.txn.take().expect("installed above");
                     inner.rollback(txn);
@@ -544,7 +538,9 @@ impl Database {
     // ---- transactions ------------------------------------------------------
 
     /// Runs `f` as one transaction: commits on `Ok`, rolls back on `Err` or
-    /// a panic. The transaction holds the gate exclusively, so other
+    /// a panic. Foreign keys are checked at commit, so `f` may write a
+    /// child before its parent; a reference still dangling then rolls the
+    /// transaction back. The transaction holds the gate exclusively, so other
     /// threads' statements, checkpoints and replica applies wait for it
     /// instead of reading or joining it; statements the calling thread
     /// issues meanwhile, through any clone of this handle, run inside it.
@@ -569,10 +565,10 @@ impl Database {
         // committers share one batch fsync.
         let staged = {
             let mut inner = self.inner_write();
-            let txn = inner.txn.take().expect("the open transaction");
             if matches!(outcome, Ok(Ok(_))) {
-                self.wal_stage_commit(&mut inner, txn)
+                self.commit(&mut inner)
             } else {
+                let txn = inner.txn.take().expect("the open transaction");
                 inner.rollback(txn);
                 Ok(None)
             }
@@ -637,16 +633,34 @@ impl Database {
         self.wal().map(|w| w.last_lsn()).unwrap_or(0)
     }
 
-    /// Stages a committing transaction's redo frame in the WAL's
-    /// group-commit pipeline (no-op without a WAL or for a read-only
-    /// transaction), returning the ticket to wait on *after* the engine
-    /// lock is released. Called with the transaction already taken out of
-    /// `inner`, so the live state *is* the post-commit state the redo
-    /// conversion resolves after-images against. On staging failure the
-    /// transaction is rolled back here (not staged ⇒ not logged ⇒ not
-    /// committed); once staged, the transaction is parked in
+    /// Checks the references the calling thread's open transaction has
+    /// written so far, as its commit will, for code that must fail before
+    /// it writes outside the database. Rows that pass are not checked
+    /// again unless written again; outside a transaction each statement
+    /// checked its own.
+    pub fn check_references(&self) -> Result<()> {
+        if !self.owns_transaction() {
+            return Ok(());
+        }
+        self.inner_write().check_references(&self.stats)
+    }
+
+    /// Commits the open transaction: checks its references, then stages
+    /// its redo frame in the WAL's group-commit pipeline (no-op without a
+    /// WAL or for a read-only transaction), returning the ticket to wait
+    /// on *after* the engine lock is released. The transaction is taken
+    /// out of `inner` first, so the live state *is* the post-commit state
+    /// the redo conversion resolves after-images against. On a failed
+    /// check or staging the transaction is rolled back here (not staged ⇒
+    /// not logged ⇒ not committed); once staged, it is parked in
     /// `pending_txns` so a failed batch flush can roll it back.
-    fn wal_stage_commit(&self, inner: &mut Inner, txn: Txn) -> Result<Option<wal::WalTicket>> {
+    fn commit(&self, inner: &mut Inner) -> Result<Option<wal::WalTicket>> {
+        let checked = inner.check_references(&self.stats);
+        let txn = inner.txn.take().expect("the open transaction");
+        if let Err(e) = checked {
+            inner.rollback(txn);
+            return Err(e);
+        }
         let Some(w) = self.wal() else { return Ok(None) };
         if txn.undo.is_empty() {
             return Ok(None);
@@ -1135,10 +1149,10 @@ impl Database {
     /// Applies a whole batch of per-row column writes under ONE lock
     /// acquisition and ONE statement charge: each entry addresses a row by
     /// its primary-key value and lists `(column index, new value)` writes.
-    /// Rows whose primary key no longer exists are skipped; constraints are
-    /// enforced (and undo logged) per row, so a violation anywhere rolls
-    /// back the statement's earlier rows too. Returns the number of rows
-    /// updated.
+    /// Rows whose primary key no longer exists are skipped; NOT NULL and
+    /// UNIQUE are enforced (and undo logged) per row, so a violation
+    /// anywhere rolls back the statement's earlier rows too; references
+    /// are checked at commit. Returns the number of rows updated.
     ///
     /// This is the engine half of batched disguise application: a
     /// `Decorrelate`/`Modify` transform collects its per-row rewrites and
@@ -1161,8 +1175,9 @@ impl Database {
 
     /// Inserts a batch of fully materialized rows (all columns, in schema
     /// order) under one lock acquisition and one statement charge,
-    /// returning the auto-increment value assigned to each. A constraint
-    /// violation anywhere fails the whole batch (statement-level rollback).
+    /// returning the auto-increment value assigned to each. A NOT NULL or
+    /// UNIQUE violation anywhere fails the whole batch (statement-level
+    /// rollback); references are checked at commit.
     pub fn insert_rows(&self, table: &str, rows: Vec<Row>) -> Result<Vec<Option<i64>>> {
         if rows.is_empty() {
             return Ok(Vec::new());

@@ -5,6 +5,7 @@
 //! through the helpers here so that undo logging, index maintenance, and
 //! constraint checks cannot be bypassed.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -506,13 +507,8 @@ impl Inner {
                 });
             }
         }
-        // UNIQUE.
+        // UNIQUE. Its references are checked at commit.
         self.table(table)?.check_unique(&row, None)?;
-        // FOREIGN KEY parents.
-        for fk in &schema.foreign_keys {
-            let col = schema.require_column(&fk.column)?;
-            self.check_fk_parent(fk, &row[col], stats)?;
-        }
         let t = self.table_mut(table)?;
         let row_id = t.insert_unchecked(row);
         stats.bump(&stats.rows_written, 1);
@@ -523,33 +519,67 @@ impl Inner {
         Ok(assigned)
     }
 
-    fn check_fk_parent(&self, fk: &ForeignKey, value: &Value, stats: &Stats) -> Result<()> {
-        if value.is_null() {
+    /// Checks the references the open transaction wrote since its last
+    /// check: every non-NULL foreign-key value a row took by an insert, or
+    /// by an update of that column, must name a live parent row. This is
+    /// SQL's deferred constraint check, run at commit (an auto-commit
+    /// statement commits at its end), so a child may be written before its
+    /// parent or repaired later in the transaction. Each touched row is
+    /// checked once, in its current image; a column counts as written
+    /// unless every image the row had since the last check holds the
+    /// current value. An unwritten reference needs no check: parent-side
+    /// actions stay immediate, so no parent goes while a row references it.
+    pub fn check_references(&mut self, stats: &Stats) -> Result<()> {
+        let Some(txn) = &self.txn else {
             return Ok(());
-        }
-        let parent = self.table(&fk.parent_table)?;
-        let pcol = parent.schema.require_column(&fk.parent_column)?;
-        let found = match parent.index_on(pcol) {
-            Some(ix) => {
-                stats.bump(&stats.index_probes, 1);
-                !ix.lookup(value).is_empty()
-            }
-            None => {
-                stats.bump(&stats.table_scans, 1);
-                parent
-                    .iter()
-                    .any(|(_, r)| r[pcol].sql_eq(value) == Some(true))
-            }
         };
-        if found {
-            Ok(())
-        } else {
-            Err(Error::ForeignKeyViolation {
-                table: fk.parent_table.clone(),
-                column: fk.column.clone(),
-                detail: format!("no parent row with {} = {value}", fk.parent_column),
+        // The inserts and updates since the last check, grouped per row.
+        let mut writes: Vec<(&str, RowId, &UndoOp)> = txn.undo[txn.checked..]
+            .iter()
+            .filter_map(|op| match op {
+                UndoOp::Inserted { table, row_id } | UndoOp::Updated { table, row_id, .. } => {
+                    Some((table.as_str(), *row_id, op))
+                }
+                _ => None,
             })
+            .collect();
+        writes.sort_unstable_by_key(|&(table, row_id, _)| (table, row_id));
+        for row_writes in writes.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (table, row_id, _) = row_writes[0];
+            let Some(t) = self.tables.get(&table.to_lowercase()) else {
+                continue;
+            };
+            let Some(row) = t.get(row_id) else { continue };
+            for fk in &t.schema.foreign_keys {
+                let col = t.schema.require_column(&fk.column)?;
+                let value = &row[col];
+                let unwritten = row_writes.iter().all(|(_, _, op)| match op {
+                    UndoOp::Updated { old_row, .. } => {
+                        old_row.len() == row.len() && old_row[col] == *value
+                    }
+                    _ => false,
+                });
+                if unwritten || value.is_null() {
+                    continue;
+                }
+                let parent = self.table(&fk.parent_table)?;
+                let pcol = parent.schema.require_column(&fk.parent_column)?;
+                if rows_matching(parent, pcol, value, stats).is_empty() {
+                    return Err(Error::ForeignKeyViolation {
+                        table: t.schema.name.clone(),
+                        column: fk.column.clone(),
+                        detail: format!(
+                            "no {} row with {} = {value}",
+                            fk.parent_table, fk.parent_column
+                        ),
+                    });
+                }
+            }
         }
+        if let Some(txn) = self.txn.as_mut() {
+            txn.checked = txn.undo.len();
+        }
+        Ok(())
     }
 
     // ---- row selection -------------------------------------------------------
@@ -752,14 +782,8 @@ impl Inner {
             }
         }
         self.table(table)?.check_unique(&new_row, Some(id))?;
-        // FK: child side — changed FK columns must reference existing parents.
-        for fk in &schema.foreign_keys {
-            let col = schema.require_column(&fk.column)?;
-            if old_row[col] != new_row[col] {
-                self.check_fk_parent(fk, &new_row[col], stats)?;
-            }
-        }
-        // FK: parent side — a changed referenced key must not strand children.
+        // FK: parent side — a changed referenced key must not strand
+        // children. The child side is checked at commit.
         for (child_name, fk) in self.children_of(&schema.name) {
             let pcol = schema.require_column(&fk.parent_column)?;
             if old_row[pcol] != new_row[pcol] {
@@ -810,26 +834,8 @@ impl Inner {
         };
         let mut affected = 0usize;
         for (pk_value, writes) in updates {
-            let id = {
-                let t = self.table(table)?;
-                let ids = match t.index_on(pk_col) {
-                    Some(ix) => {
-                        stats.bump(&stats.index_probes, 1);
-                        ix.lookup(pk_value).to_vec()
-                    }
-                    None => {
-                        stats.bump(&stats.table_scans, 1);
-                        t.iter()
-                            .filter(|(_, r)| r[pk_col].sql_eq(pk_value) == Some(true))
-                            .map(|(id, _)| id)
-                            .collect()
-                    }
-                };
-                match ids.first() {
-                    Some(&id) => id,
-                    None => continue,
-                }
-            };
+            let ids = rows_matching(self.table(table)?, pk_col, pk_value, stats);
+            let Some(&id) = ids.first() else { continue };
             let mut new_row = self
                 .table(table)?
                 .get(id)
@@ -994,19 +1000,7 @@ impl Inner {
         if key.is_null() {
             return Ok(Vec::new());
         }
-        match t.index_on(ccol) {
-            Some(ix) => {
-                stats.bump(&stats.index_probes, 1);
-                Ok(ix.lookup(key).to_vec())
-            }
-            None => {
-                stats.bump(&stats.table_scans, 1);
-                Ok(t.iter()
-                    .filter(|(_, r)| r[ccol].sql_eq(key) == Some(true))
-                    .map(|(id, _)| id)
-                    .collect())
-            }
-        }
+        Ok(rows_matching(t, ccol, key, stats).into_owned())
     }
 
     // ---- SELECT ------------------------------------------------------------
@@ -1712,10 +1706,31 @@ impl Inner {
                 }
             }
         }
+        txn.checked = txn.checked.min(mark);
         if undid_ddl {
             self.invalidate_plans();
         }
         txn
+    }
+}
+
+/// Row ids in `t` whose column `col` equals `key`: an index probe when the
+/// column is indexed, a scan otherwise.
+fn rows_matching<'t>(t: &'t Table, col: usize, key: &Value, stats: &Stats) -> Cow<'t, [RowId]> {
+    match t.index_on(col) {
+        Some(ix) => {
+            stats.bump(&stats.index_probes, 1);
+            Cow::Borrowed(ix.lookup(key))
+        }
+        None => {
+            stats.bump(&stats.table_scans, 1);
+            Cow::Owned(
+                t.iter()
+                    .filter(|(_, r)| r[col].sql_eq(key) == Some(true))
+                    .map(|(id, _)| id)
+                    .collect(),
+            )
+        }
     }
 }
 

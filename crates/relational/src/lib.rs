@@ -11,7 +11,7 @@
 //! - arbitrary SQL `WHERE` predicates with `$param` binding — the disguise
 //!   specification language embeds these directly (paper §5);
 //! - enforced constraints: NOT NULL, UNIQUE, PRIMARY KEY, FOREIGN KEY with
-//!   `RESTRICT`/`CASCADE`/`SET NULL`;
+//!   `RESTRICT`/`CASCADE`/`SET NULL`, its references checked at commit;
 //! - per-statement/row statistics ([`StatsSnapshot`]) backing the paper's
 //!   "queries grow linearly" measurement, and an optional synthetic
 //!   [`LatencyModel`] approximating a networked DBMS.

@@ -4,7 +4,8 @@
 //! the previous state. Statements outside a [`crate::Database::transaction`]
 //! run in an implicit transaction so that a mid-statement constraint
 //! violation (e.g. row 3 of a multi-row INSERT) leaves the database
-//! untouched.
+//! untouched. The same log tells the commit which rows' references to
+//! check (`Inner::check_references`).
 
 use crate::storage::{RowId, Table};
 use crate::value::Row;
@@ -47,22 +48,22 @@ pub struct Txn {
     pub undo: Vec<UndoOp>,
     /// Whether this is an implicit single-statement transaction.
     pub implicit: bool,
+    /// Length of the undo log when its references were last checked;
+    /// later entries are still unchecked.
+    pub checked: usize,
 }
 
 impl Txn {
     /// Creates an explicit transaction.
     pub fn explicit() -> Txn {
-        Txn {
-            undo: Vec::new(),
-            implicit: false,
-        }
+        Txn::default()
     }
 
     /// Creates an implicit (single-statement) transaction.
     pub fn implicit() -> Txn {
         Txn {
-            undo: Vec::new(),
             implicit: true,
+            ..Txn::default()
         }
     }
 

@@ -55,6 +55,15 @@ echo "==> edna audit (interleaving proofs over the demo workspaces)"
 # every disguise pair, warnings denied.
 target/release/edna audit "$CHECK_DIR/hotcrp" --deny-warnings
 target/release/edna audit "$CHECK_DIR/lobsters" --deny-warnings
+# The audit models one abstract user, so replay a cross-user order it
+# cannot see: user 3 was invited by user 1, and revealing 3 after 1 was
+# disguised re-inserts an account whose inviter is gone until the
+# re-applied disguise of 1 sets that key to NULL.
+target/release/edna apply "$CHECK_DIR/lobsters" Lobsters-GDPR --user 3
+target/release/edna apply "$CHECK_DIR/lobsters" Lobsters-GDPR --user 1
+target/release/edna reveal "$CHECK_DIR/lobsters" --id 1
+target/release/edna reveal "$CHECK_DIR/lobsters" --id 2
+target/release/edna recover "$CHECK_DIR/lobsters" --verify | grep -q "integrity: ok"
 # Both counterexamples must be rejected with their documented codes.
 target/release/edna init "$CHECK_DIR/trap"
 target/release/edna load-sql "$CHECK_DIR/trap" examples/audit_demo.sql
