@@ -26,7 +26,7 @@ use std::sync::{Mutex, RwLock};
 use edna_relational::{
     eval_predicate, Database, EvalContext, Expr, OpenIntent, StatsSnapshot, TableSchema, Value,
 };
-use edna_vault::{MemoryStore, RevealOp, TieredVault, Vault, VaultEntry, VaultJournal, VaultTier};
+use edna_vault::{MemoryStore, RevealOp, TieredVault, Vault, VaultEntry, VaultTier};
 
 use crate::analysis::{plan_composition, CompositionPlan};
 use crate::analyze::{self, Diagnostic};
@@ -38,29 +38,6 @@ use crate::spec::{validate_spec, DisguiseSpec, PredicatedTransform, Transformati
 /// One batch of pk-keyed updates, as `Database::update_rows_by_pk` takes
 /// them: `(pk, [(column index, new value)])` per row.
 type PkUpdates = Vec<(Value, Vec<(usize, Value)>)>;
-
-/// What to do when the vault write at the end of an application fails
-/// (after retries, if the backend has a [`edna_vault::RetryPolicy`]).
-///
-/// The disguise's physical changes and its history row are already staged
-/// in the transaction at that point; the policy decides whether losing the
-/// reveal functions aborts the disguise or degrades it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VaultFailurePolicy {
-    /// Abort: roll the whole application back and surface the vault
-    /// error. Nothing is disguised, nothing is lost.
-    #[default]
-    Require,
-    /// Proceed irreversibly: commit the disguise, mark the history row
-    /// not reversible, and record the vault error as its note. Privacy
-    /// wins over reversibility.
-    Degrade,
-    /// Proceed reversibly: commit the disguise and spool the vault entry
-    /// to the configured [`VaultJournal`], to be pushed into the vault by
-    /// [`Disguiser::flush_pending_vault_writes`] once the backend is
-    /// healthy. Requires [`Disguiser::set_vault_journal`].
-    Buffer,
-}
 
 /// Knobs controlling disguise application.
 #[derive(Debug, Clone, Copy)]
@@ -75,8 +52,6 @@ pub struct ApplyOptions {
     /// Wrap the whole application in one transaction ("Edna currently
     /// applies these changes in one large SQL transaction", §6).
     pub use_transaction: bool,
-    /// What to do when the vault write fails after retries.
-    pub vault_failure_policy: VaultFailurePolicy,
     /// Upper bound on rows transformed by this application (`None` =
     /// unbounded). The decay daemon uses this to run incrementally: when
     /// the budget runs out mid-application the report comes back with
@@ -95,7 +70,6 @@ impl Default for ApplyOptions {
             compose: true,
             optimize: true,
             use_transaction: true,
-            vault_failure_policy: VaultFailurePolicy::Require,
             row_budget: None,
         }
     }
@@ -130,12 +104,6 @@ pub struct DisguiseReport {
     pub stats: StatsSnapshot,
     /// Vault-store retries absorbed during this application.
     pub vault_retries: u64,
-    /// Why this application degraded to irreversible
-    /// ([`VaultFailurePolicy::Degrade`]), if it did.
-    pub vault_degraded: Option<String>,
-    /// Whether the vault entry was spooled to the journal
-    /// ([`VaultFailurePolicy::Buffer`]) instead of reaching the vault.
-    pub vault_buffered: bool,
     /// Whether a WAL intent marker brackets this application's vault-side
     /// writes (set when the database has a WAL attached and the disguise
     /// recorded reveal functions).
@@ -165,8 +133,6 @@ impl Default for DisguiseReport {
             duration: Duration::ZERO,
             stats: StatsSnapshot::default(),
             vault_retries: 0,
-            vault_degraded: None,
-            vault_buffered: false,
             wal_intent: false,
             budget_exhausted: false,
             remaining_budget: None,
@@ -275,7 +241,6 @@ pub struct Disguiser {
     /// Warnings the static analyzer recorded when each spec registered.
     pub(crate) warnings: RwLock<HashMap<String, Vec<Diagnostic>>>,
     pub(crate) rng: Mutex<Prng>,
-    pub(crate) journal: Mutex<Option<VaultJournal>>,
 }
 
 /// The placeholder RNG seed of a fresh state.
@@ -316,7 +281,6 @@ impl Disguiser {
             specs: RwLock::new(HashMap::new()),
             warnings: RwLock::new(HashMap::new()),
             rng: Mutex::new(Prng::seed_from_u64(seed)),
-            journal: Mutex::new(None),
         }
     }
 
@@ -327,17 +291,14 @@ impl Disguiser {
 
     /// Installs (or with `None` removes) a tracer across every layer this
     /// disguiser touches: the engine emits per-statement spans, the vaults
-    /// and journal emit storage spans, and the disguiser itself emits
-    /// disguise-phase spans (`disguise_apply`, `recorrelate`, `transform`,
+    /// emit storage spans, and the disguiser itself emits disguise-phase
+    /// spans (`disguise_apply`, `recorrelate`, `transform`,
     /// `predicate_scan`, `placeholder_gen`, `transform_write`,
     /// `redo_pass`, `assertions`, `history_append`, `vault_write`,
     /// `reveal`, ...), all sharing one span buffer.
     pub fn set_tracer(&self, tracer: Option<Tracer>) {
         self.db.set_tracer(tracer.clone());
-        self.vaults.set_tracer(tracer.clone());
-        if let Some(j) = lock_unpoisoned(&self.journal).as_ref() {
-            j.set_tracer(tracer);
-        }
+        self.vaults.set_tracer(tracer);
     }
 
     /// Opens a disguise-phase span if a tracer is installed.
@@ -360,60 +321,6 @@ impl Disguiser {
         &self.history
     }
 
-    /// Configures the journal that [`VaultFailurePolicy::Buffer`] spools
-    /// vault writes to when the backend is down.
-    pub fn set_vault_journal(&self, journal: VaultJournal) {
-        // Inherit whatever tracer is currently installed.
-        journal.set_tracer(self.db.tracer());
-        *lock_unpoisoned(&self.journal) = Some(journal);
-    }
-
-    /// Vault entries spooled by [`VaultFailurePolicy::Buffer`] and not yet
-    /// flushed (0 if no journal is configured).
-    pub fn pending_vault_writes(&self) -> Result<usize> {
-        match lock_unpoisoned(&self.journal).as_ref() {
-            Some(j) => Ok(j.len()?),
-            None => Ok(0),
-        }
-    }
-
-    /// Pushes journalled vault entries into the vaults, oldest first;
-    /// returns how many were flushed. On a vault failure mid-flush the
-    /// unflushed suffix (including the entry that failed) stays in the
-    /// journal and the error surfaces — calling again once the backend
-    /// recovers resumes where it stopped.
-    pub fn flush_pending_vault_writes(&self) -> Result<usize> {
-        let _span = self.span("vault_flush");
-        let guard = lock_unpoisoned(&self.journal);
-        let Some(journal) = guard.as_ref() else {
-            return Ok(0);
-        };
-        let pending = journal.pending()?;
-        let mut flushed = 0;
-        for (i, (tier, entry)) in pending.iter().enumerate() {
-            // Idempotent flush: a crash after the put but before the
-            // journal compaction below leaves the entry both in the vault
-            // and in the journal; re-flushing must not store it twice
-            // (file-backed stores append blindly).
-            let already = self
-                .vaults
-                .entries_for_disguise(&entry.user_id, entry.disguise_id)?
-                .iter()
-                .any(|e| e == entry);
-            if already {
-                flushed += 1;
-                continue;
-            }
-            if let Err(e) = self.vaults.put(*tier, entry) {
-                journal.rewrite(&pending[i..])?;
-                return Err(Error::Vault(e));
-            }
-            flushed += 1;
-        }
-        journal.rewrite(&[])?;
-        Ok(flushed)
-    }
-
     /// Resolves disguise intents that recovery found open in the WAL
     /// (intent marker with no commit marker): for each one, the database's
     /// own history table is the commit arbiter.
@@ -422,9 +329,8 @@ impl Disguiser {
     ///   its vault writes are legitimate. The intent is closed with a
     ///   commit marker (the original one was lost to the crash).
     /// - History row **absent** — the transaction never committed; the
-    ///   vault entry (and any journal-spooled copy) is an orphan carrying
-    ///   reveal functions for a disguise that never happened. Both are
-    ///   removed, then the intent is closed.
+    ///   vault entry is an orphan carrying reveal functions for a disguise
+    ///   that never happened. It is removed, then the intent is closed.
     ///
     /// Idempotent: re-resolving an already-resolved intent removes nothing
     /// and re-stamps the marker. Called by `Workspace::open` after WAL
@@ -437,9 +343,6 @@ impl Disguiser {
                 resolution.completed.push(intent.disguise_id);
             } else {
                 self.vaults.remove(&intent.user, intent.disguise_id)?;
-                if let Some(j) = lock_unpoisoned(&self.journal).as_ref() {
-                    j.purge_disguise(intent.disguise_id)?;
-                }
                 resolution.undone.push(intent.disguise_id);
             }
             // Close the bracket either way so the next recovery does not
@@ -816,7 +719,7 @@ impl Disguiser {
             // Close every intent bracket the chunk opened — including
             // degraded ones, whose history rows now say "irreversible"
             // (recovery treats a present history row as committed either
-            // way). Losing a marker here is benign: see apply_with_options.
+            // way). Losing a marker here is benign: see apply_checked.
             for (_, r) in &applied {
                 if r.wal_intent {
                     let _ = self.db.wal_disguise_commit(r.disguise_id);
@@ -1025,29 +928,9 @@ impl Disguiser {
                 });
                 return Ok(report);
             }
-            if let Err(vault_err) = self.vaults.put(spec.vault_tier, &entry) {
-                match opts.vault_failure_policy {
-                    // Abort: the caller rolls the transaction back; the
-                    // history row above vanishes with it.
-                    VaultFailurePolicy::Require => return Err(Error::Vault(vault_err)),
-                    // Proceed irreversibly: the reveal functions are lost,
-                    // so the history row must never offer a reveal.
-                    VaultFailurePolicy::Degrade => {
-                        let reason = format!("vault write failed: {vault_err}");
-                        self.history.mark_degraded(id, &reason)?;
-                        report.vault_degraded = Some(reason);
-                    }
-                    // Proceed reversibly: spool the entry durably; if even
-                    // the journal fails, abort as under Require.
-                    VaultFailurePolicy::Buffer => {
-                        match lock_unpoisoned(&self.journal).as_ref() {
-                            Some(journal) => journal.append(spec.vault_tier, &entry)?,
-                            None => return Err(Error::NoJournal),
-                        }
-                        report.vault_buffered = true;
-                    }
-                }
-            }
+            // A failed put aborts: the caller rolls the transaction back,
+            // and the history row above vanishes with it.
+            self.vaults.put(spec.vault_tier, &entry)?;
         }
         Ok(report)
     }
@@ -1432,7 +1315,7 @@ pub struct IntentResolution {
     /// Disguise ids whose transaction had committed: vault state kept.
     pub completed: Vec<u64>,
     /// Disguise ids whose transaction never committed: orphaned vault
-    /// entries and journal spools removed.
+    /// entries removed.
     pub undone: Vec<u64>,
 }
 
@@ -1448,7 +1331,6 @@ struct AffectedTransforms<'s> {
     skipped: usize,
 }
 
-/// `pk_column = pk` as an expression.
 /// Owner-hash partitioning for [`Disguiser::apply_many`]: hashes the
 /// user id's SQL-literal rendering (the same key vaults and history use)
 /// so every representation of an id lands in the same shard.
@@ -1459,6 +1341,7 @@ fn owner_shard(user: &Value, shards: usize) -> usize {
     (h.finish() % shards as u64) as usize
 }
 
+/// `pk_column = pk` as an expression.
 pub(crate) fn pk_pred(pk_column: &str, pk: &Value) -> Expr {
     Expr::eq(Expr::col(pk_column), Expr::lit(pk.clone()))
 }

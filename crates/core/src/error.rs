@@ -36,9 +36,6 @@ pub enum Error {
     /// A guarded application update tried to touch a disguised row
     /// (paper §7: updates to disguised data are prohibited).
     DisguisedData { table: String, pk: String },
-    /// A vault write failed under the *buffer* policy but no journal is
-    /// configured to spool it.
-    NoJournal,
     /// An error bubbled up from the relational engine.
     Relational(edna_relational::Error),
     /// An error bubbled up from vault storage.
@@ -97,11 +94,6 @@ impl fmt::Display for Error {
             Error::DisguisedData { table, pk } => {
                 write!(f, "row {table}[{pk}] is disguised; updates are prohibited")
             }
-            Error::NoJournal => write!(
-                f,
-                "vault write failed under the buffer policy but no journal is \
-                 configured; call Disguiser::set_vault_journal first"
-            ),
             Error::Relational(e) => write!(f, "relational error: {e}"),
             Error::Vault(e) => write!(f, "vault error: {e}"),
             Error::Workspace(msg) => f.write_str(msg),

@@ -30,8 +30,9 @@ pub struct DisguiseEvent {
     pub reversible: bool,
     /// Whether the application has been reverted.
     pub reverted: bool,
-    /// Why the application degraded to irreversible, if it did (the
-    /// *degrade* vault failure policy records the vault error here).
+    /// Why the application degraded to irreversible, if it did
+    /// (`apply_many` records a vault error that struck after the user's
+    /// commit here).
     pub note: Option<String>,
 }
 
@@ -108,10 +109,10 @@ impl HistoryLog {
         Ok(())
     }
 
-    /// Marks application `id` irreversible, recording `reason` — the
-    /// *degrade* vault failure policy: the disguise proceeded, but its
-    /// reveal functions could not be persisted, so it must never be
-    /// offered for reveal.
+    /// Marks application `id` irreversible, recording `reason`: the
+    /// disguise committed, but its reveal functions could not be
+    /// persisted (an `apply_many` vault put failed after the commit), so
+    /// it must never be offered for reveal.
     pub fn mark_degraded(&self, id: u64, reason: &str) -> Result<()> {
         let mut params = id_param(id);
         params.insert("NOTE".to_string(), Value::Text(reason.to_string()));

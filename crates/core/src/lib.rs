@@ -48,9 +48,7 @@ pub use analyze::{
     analyze_spec, audit_workspace, render_json_report, render_report, sort_diagnostics, Diagnostic,
     Location, Severity,
 };
-pub use apply::{
-    ApplyManyReport, ApplyOptions, DisguiseReport, Disguiser, IntentResolution, VaultFailurePolicy,
-};
+pub use apply::{ApplyManyReport, ApplyOptions, DisguiseReport, Disguiser, IntentResolution};
 pub use edna_obs::{SpanRecord, Tracer};
 pub use error::{Error, Result};
 pub use guard::DisguisedRows;

@@ -16,8 +16,9 @@
 //!   locks from crashed processes are reclaimed, see
 //!   [`edna_util::lockfile`]);
 //! - `STATE.metrics` — Prometheus-text metrics sidecar;
-//! - `STATE.vault/global/`, `STATE.vault/user/` — file-backed vault tiers;
-//! - `STATE.vault/pending.journal` — spooled vault writes awaiting flush;
+//! - `STATE.vault/global/`, `STATE.vault/user/` — file-backed vault tiers
+//!   (a non-empty `STATE.vault/pending.journal`, the plaintext spool of
+//!   vault writes an earlier edna could leave behind, is refused at open);
 //! - registered disguise DSL texts live *in* the database, in the reserved
 //!   `_edna_spec_registry` table, so every command sees the same specs.
 //!
@@ -41,7 +42,7 @@ use std::time::Instant;
 use edna_relational::{snapshot, Database, RecoveryReport, Value};
 use edna_util::lockfile::LockFile;
 use edna_util::sync::lock_unpoisoned;
-use edna_vault::{FileStore, ShipFn, ShipSlot, TieredVault, Vault, VaultJournal};
+use edna_vault::{FileStore, ShipFn, ShipSlot, TieredVault, Vault};
 
 use crate::apply::{Disguiser, IntentResolution};
 use crate::error::{Error, Result};
@@ -106,6 +107,25 @@ fn fsync_parent(path: &Path) {
         if let Ok(d) = std::fs::File::open(dir) {
             let _ = d.sync_all();
         }
+    }
+}
+
+/// Fails if `<state>.vault/pending.journal` holds anything. Earlier
+/// versions of edna could spool vault writes there, unencrypted, when a
+/// vault put failed, to be flushed later by a library call. This version
+/// neither flushes nor ships that file, so opening over a non-empty one
+/// would silently strand the reveal functions it holds. An empty file is
+/// left alone.
+fn refuse_vault_spool(state: &Path) -> Result<()> {
+    let spool = sidecar(state, ".vault").join("pending.journal");
+    match std::fs::metadata(&spool) {
+        Ok(m) if m.len() > 0 => Err(ws_err(format!(
+            "{} holds vault writes spooled by an earlier edna, which this version \
+             can neither flush nor replicate; flush it with that version, or remove \
+             it to give up those reveals",
+            spool.display()
+        ))),
+        _ => Ok(()),
     }
 }
 
@@ -181,7 +201,8 @@ impl Workspace {
     ///
     /// The `<state>.lock` file is taken first and held until the
     /// workspace drops; a second process opening the same state gets a
-    /// [`Error::Workspace`] naming the holding PID.
+    /// [`Error::Workspace`] naming the holding PID. A non-empty
+    /// `<state>.vault/pending.journal` is an [`Error::Workspace`] too.
     pub fn open(path: impl AsRef<Path>, passphrase: Option<&str>) -> Result<Workspace> {
         Self::open_as(path.as_ref(), passphrase, false)
     }
@@ -198,6 +219,7 @@ impl Workspace {
     fn open_as(path: &Path, passphrase: Option<&str>, replica: bool) -> Result<Workspace> {
         let path = path.to_path_buf();
         let lock = Self::acquire_lock(&path)?;
+        refuse_vault_spool(&path)?;
         let promoted = resolve_snapshot_tmp(&path)?;
         let metrics_tmp = sidecar(&path, ".metrics.tmp");
         if metrics_tmp.exists() {
@@ -213,7 +235,7 @@ impl Workspace {
         // The stores move behind trait objects next; keep their
         // replication tap slots so `set_vault_ship_hook` can still reach
         // the live stores later.
-        let mut ship_slots = vec![
+        let ship_slots = vec![
             ("global", global_store.ship_slot()),
             ("user", user_store.ship_slot()),
         ];
@@ -223,9 +245,6 @@ impl Workspace {
             None => Vault::plain(user_store),
         };
         let edna = Disguiser::with_vaults(db.clone(), TieredVault::new(global, per_user));
-        let journal = VaultJournal::open(sidecar(&path, ".vault").join("pending.journal"))?;
-        ship_slots.push(("journal", journal.ship_slot()));
-        edna.set_vault_journal(journal);
         // Re-register persisted specs.
         let specs = db.execute(&format!(
             "SELECT dsl FROM {SPEC_REGISTRY_TABLE} ORDER BY id"
@@ -294,11 +313,10 @@ impl Workspace {
 
     /// Installs (or with `None` removes) a replication tap over the
     /// vault-side files. The hook sees every durable mutation of the
-    /// vault tiers and the pending-write journal as raw bytes (sealed
-    /// payloads ship sealed), with the file name prefixed by where it
-    /// lives relative to `<state>.vault/`: `global/<file>`,
-    /// `user/<file>`, or `journal/pending.journal`. Hooks run inside the
-    /// emitting store's lock — enqueue only, never block.
+    /// vault tiers as raw bytes (sealed payloads ship sealed), with the
+    /// file name prefixed by its tier directory under `<state>.vault/`:
+    /// `global/<file>` or `user/<file>`. Hooks run inside the emitting
+    /// store's lock — enqueue only, never block.
     pub fn set_vault_ship_hook(&self, hook: Option<Arc<ShipFn>>) {
         for (prefix, slot) in &self.ship_slots {
             match &hook {
@@ -787,6 +805,26 @@ tables: {
         std::fs::write(&tmp, b"half-written metrics").unwrap();
         let _ws = Workspace::open(&state, None).unwrap();
         assert!(!tmp.exists(), "stale metrics tmp swept");
+        cleanup(&state);
+    }
+
+    #[test]
+    fn non_empty_vault_spool_is_refused_at_open() {
+        let state = temp_state("spool");
+        {
+            let _ws = Workspace::init(&state, None).unwrap();
+        }
+        let spool = sidecar(&state, ".vault").join("pending.journal");
+        std::fs::write(&spool, b"").unwrap();
+        drop(Workspace::open(&state, None).unwrap());
+        std::fs::write(&spool, b"x").unwrap();
+        let err = Workspace::open(&state, None).err().unwrap().to_string();
+        assert!(
+            err.contains(&spool.display().to_string()),
+            "names the spool: {err}"
+        );
+        std::fs::remove_file(&spool).unwrap();
+        drop(Workspace::open(&state, None).unwrap());
         cleanup(&state);
     }
 

@@ -5,9 +5,9 @@
 //! answers `ok`, then — on the same connection — ships a bootstrap
 //! (snapshot, WAL file, vault files) followed by a live tail of every
 //! durable mutation: WAL frames as the group-commit leader flushes them,
-//! and vault-side file mutations (entry puts, journal appends,
-//! compaction rewrites) as raw bytes below the encryption layer, so
-//! sealed payloads ship sealed and the follower needs no key material.
+//! and vault-side file mutations (entry puts, removal and purge
+//! rewrites) as raw bytes below the encryption layer, so sealed
+//! payloads ship sealed and the follower needs no key material.
 //!
 //! Stream records ride inside the same checksummed wire frames as
 //! requests ([`crate::wire`]); the follower acknowledges applied WAL
@@ -94,7 +94,7 @@ pub enum StreamRecord {
         epoch: u64,
         /// Append or wholesale replace.
         kind: ShipKind,
-        /// Relative name (`global/...`, `user/...`, `journal/...`).
+        /// Relative name (`global/...` or `user/...`).
         name: String,
         /// The raw (possibly sealed) bytes.
         bytes: Vec<u8>,
@@ -716,7 +716,7 @@ mod tests {
             StreamRecord::Vault {
                 epoch: 2,
                 kind: ShipKind::Append,
-                name: "journal/pending.journal".to_string(),
+                name: "global/g.bin".to_string(),
                 bytes: vec![5; 5],
             },
             StreamRecord::Vault {

@@ -114,8 +114,8 @@ pub struct Bootstrap {
 
 /// Validates a shipped vault-side file name and resolves it under the
 /// replica's `<state>.vault/` directory. The name must be
-/// `global/<file>`, `user/<file>`, or `journal/<file>` with a plain
-/// single-component file name — anything else is hostile.
+/// `global/<file>` or `user/<file>` with a plain single-component file
+/// name — anything else is hostile.
 pub fn resolve_vault_name(state: &Path, name: &str) -> Result<PathBuf, String> {
     let (prefix, file) = name
         .split_once('/')
@@ -133,8 +133,6 @@ pub fn resolve_vault_name(state: &Path, name: &str) -> Result<PathBuf, String> {
     match prefix {
         "global" => Ok(vault_root.join("global").join(file)),
         "user" => Ok(vault_root.join("user").join(file)),
-        // The journal lives directly in the vault dir, not a subdir.
-        "journal" => Ok(vault_root.join(file)),
         other => Err(format!("unknown vault tier prefix {other:?} in {name:?}")),
     }
 }
@@ -413,8 +411,6 @@ mod tests {
         let state = Path::new("/tmp/edna_state");
         assert!(resolve_vault_name(state, "global/a.bin").is_ok());
         assert!(resolve_vault_name(state, "user/vault_19.bin").is_ok());
-        let j = resolve_vault_name(state, "journal/pending.journal").unwrap();
-        assert_eq!(j, sidecar(state, ".vault").join("pending.journal"));
         for hostile in [
             "",
             "noprefix",
@@ -424,6 +420,7 @@ mod tests {
             "global/..",
             "global/.hidden",
             "elsewhere/a.bin",
+            "journal/pending.journal",
             "global/a\\b",
             "global/a\0b",
         ] {

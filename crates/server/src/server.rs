@@ -399,7 +399,7 @@ fn send(stream: &mut TcpStream, resp: &Response) -> bool {
 }
 
 /// Every vault-side file of `state`, as `(relative name, bytes)` pairs
-/// in the stream's naming scheme (`global/…`, `user/…`, `journal/…`).
+/// in the stream's naming scheme (`global/…`, `user/…`).
 fn vault_bootstrap_files(state: &std::path::Path) -> std::io::Result<Vec<(String, Vec<u8>)>> {
     let root = edna_core::workspace::sidecar(state, ".vault");
     let mut out = Vec::new();
@@ -415,13 +415,6 @@ fn vault_bootstrap_files(state: &std::path::Path) -> std::io::Result<Vec<(String
             let name = entry.file_name().to_string_lossy().into_owned();
             out.push((format!("{tier}/{name}"), std::fs::read(entry.path())?));
         }
-    }
-    let journal = root.join("pending.journal");
-    if journal.exists() {
-        out.push((
-            "journal/pending.journal".to_string(),
-            std::fs::read(journal)?,
-        ));
     }
     Ok(out)
 }

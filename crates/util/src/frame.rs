@@ -1,8 +1,7 @@
 //! Checksummed, crash-recoverable record framing.
 //!
-//! The file-backed vault, the pending-write journal, and the relational
-//! write-ahead log all persist append-only sequences of records. Each
-//! record is framed as
+//! The file-backed vault and the relational write-ahead log both persist
+//! append-only sequences of records. Each record is framed as
 //!
 //! ```text
 //! [u32 little-endian body length][body][32-byte SHA-256(body)]

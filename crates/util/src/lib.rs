@@ -10,8 +10,8 @@
 //! - [`buf`] — cursor-style byte buffers ([`buf::Bytes`] / [`buf::BytesMut`])
 //!   for the vault wire formats;
 //! - [`frame`] — checksummed `[len][body][sha256]` record framing with
-//!   torn-tail detection, shared by the vault files, the pending-write
-//!   journal, and the relational write-ahead log;
+//!   torn-tail detection, shared by the vault files, the relational
+//!   write-ahead log, and `edna serve`'s wire and replication streams;
 //! - [`sha256`] — SHA-256 (FIPS 180-4), shared by the vault crypto and the
 //!   crash-consistency checksums in snapshots and vault files;
 //! - [`sync`] — poison-tolerant lock acquisition, so a panic in one

@@ -2,7 +2,7 @@
 //!
 //! `std::sync` locks are poisoned when a holder panics. For the
 //! structures guarded across this workspace — statement/plan caches, RNG
-//! state, spool files, span buffers — the guarded data stays structurally
+//! state, vault files, span buffers — the guarded data stays structurally
 //! valid across a panic (no multi-step invariants are held mid-panic), so
 //! propagating the poison would turn one failed statement into a
 //! permanently wedged engine. These helpers recover the guard instead.

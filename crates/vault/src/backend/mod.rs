@@ -63,7 +63,7 @@ pub trait VaultStore: Send + Sync {
     /// can amortize per-call overhead (locks, file opens) override this;
     /// the default just loops [`VaultStore::put`]. Not atomic: on error a
     /// prefix of the batch may already be stored, so callers that retry
-    /// must dedup (see `edna-core`'s idempotent journal flush).
+    /// must dedup (see `edna-core`'s per-entry `apply_many` fallback).
     fn put_many(&self, items: Vec<(String, StoredEntry)>) -> Result<()> {
         for (user, entry) in items {
             self.put(&user, entry)?;

@@ -44,8 +44,7 @@ pub enum ErrorClass {
 
 /// Whether an I/O error can be cured by retrying. A full disk or a
 /// filesystem remounted read-only will fail the same way on every
-/// attempt — retrying only delays the inevitable surfacing (and under
-/// the `Buffer` vault policy would mask the condition until flush).
+/// attempt — retrying only delays the inevitable surfacing.
 fn io_is_transient(e: &std::io::Error) -> bool {
     use std::io::ErrorKind;
     // StorageFull/ReadOnlyFilesystem are stable but ENOSPC/EROFS can

@@ -16,10 +16,9 @@
 //!   disguises, external per-user encrypted tier for user-invoked ones;
 //! - entry expiry, making the corresponding disguises irreversible;
 //! - robustness plumbing: seedable fault injection ([`FaultPlan`]),
-//!   bounded retry with deterministic jitter ([`RetryPolicy`]), a durable
-//!   spool for vault writes that could not reach their backend
-//!   ([`VaultJournal`]), and crash-consistent checksummed record framing
-//!   with torn-tail recovery ([`wal`]).
+//!   bounded retry with deterministic jitter ([`RetryPolicy`]), and
+//!   crash-consistent checksummed record framing with torn-tail recovery
+//!   ([`wal`]).
 //!
 //! # Examples
 //!
@@ -49,7 +48,6 @@ pub mod backend;
 pub mod crypto;
 pub mod entry;
 pub mod error;
-pub mod journal;
 pub mod retry;
 pub mod serialize;
 pub mod shamir;
@@ -65,7 +63,6 @@ pub use backend::{
 pub use crypto::VaultKey;
 pub use entry::{EntryMeta, RevealOp, StoredEntry, VaultEntry};
 pub use error::{Error, ErrorClass, Result};
-pub use journal::VaultJournal;
 pub use retry::RetryPolicy;
 pub use shamir::{recover, split, Share, ThresholdKey};
 pub use ship::{ShipFn, ShipKind, ShipSlot};

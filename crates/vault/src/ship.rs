@@ -1,8 +1,7 @@
 //! Replication tap for vault-side files.
 //!
 //! The relational WAL replicates itself frame by frame, but the vault
-//! tiers and the pending-write journal are separate append-only files
-//! outside the log. A [`ShipSlot`] is the choke point that lets a
+//! tiers are separate append-only files outside the log. A [`ShipSlot`] is the choke point that lets a
 //! replication hub observe every durable mutation of those files — as
 //! raw bytes, *below* the encryption layer, so encrypted payloads ship
 //! sealed and a follower needs no key material to mirror them.
@@ -10,10 +9,10 @@
 //! Two event shapes cover every mutation the file backends perform:
 //!
 //! - [`ShipKind::Append`]: `bytes` were appended to the named file
-//!   (entry puts, journal appends);
+//!   (entry puts);
 //! - [`ShipKind::Replace`]: the named file now contains exactly `bytes`
-//!   (entry removal / expiry purges and journal compaction rewrite via
-//!   temp-file + rename; empty `bytes` means the file was removed).
+//!   (entry removal and expiry purges rewrite via temp-file + rename;
+//!   empty `bytes` means the file was removed).
 //!
 //! Hooks run synchronously inside the store's lock, after the mutation
 //! is durable locally — they must only enqueue, never block.
@@ -33,8 +32,8 @@ pub enum ShipKind {
 
 /// The hook signature: `(kind, file name, bytes)`. The file name is the
 /// bare name within the emitting store's directory (e.g.
-/// `vault_3139.bin` or `pending.journal`); the installer is expected to
-/// wrap the hook with whatever tier prefix it needs.
+/// `vault_3139.bin`); the installer is expected to wrap the hook with
+/// whatever tier prefix it needs.
 pub type ShipFn = dyn Fn(ShipKind, &str, &[u8]) + Send + Sync;
 
 /// A shared, late-bindable hook slot. File backends are constructed

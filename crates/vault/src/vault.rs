@@ -138,7 +138,7 @@ impl Vault {
     /// ([`VaultStore::put_many`]): payloads are sealed up front, then the
     /// store amortizes its per-call overhead across the whole batch. Not
     /// atomic — on error a prefix may already be stored (callers that
-    /// retry should dedup, as `edna-core`'s journal flush does).
+    /// retry should dedup, as `edna-core`'s `apply_many` fallback does).
     pub fn put_all(&self, entries: &[VaultEntry]) -> Result<()> {
         if entries.is_empty() {
             return Ok(());

@@ -132,7 +132,7 @@ echo "==> crash-sweep (WAL kill sweep + recover --verify smoke)"
 # every crash style and asserts recovery lands on a consistent state;
 # release mode so the sweep exercises the same codegen users run.
 cargo test --release -p edna-relational --test durability --quiet
-cargo test --release -p edna-core --test crash_recovery --quiet
+cargo test --release --test fault_sweep --quiet
 cargo test --release -p edna-cli --test recovery --quiet
 # A disguise was applied to the hotcrp demo above; recover must find a
 # quiescent, structurally intact state.

@@ -1,18 +1,19 @@
 //! Fault-injection sweeps: invariant 5 ("a disguise application is atomic
 //! — it either fully applies or leaves no trace") exercised by killing the
-//! apply at *every* statement index, plus the vault failure policies and
-//! crash-recovery paths end to end.
+//! apply at *every* statement index, plus vault failures end to end: a
+//! failed put aborts a single apply, degrades an `apply_many` user whose
+//! commit already landed, and a torn vault tail recovers across reopen.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use edna::apps::hotcrp::{self, generate::HotCrpConfig};
-use edna::core::{ApplyOptions, Disguiser, Error, VaultFailurePolicy};
+use edna::core::{Disguiser, Error};
 use edna::relational::{snapshot, Value};
 use edna::vault::{
     Error as VaultError, FaultPlan, FaultyStore, FileStore, MemoryStore, RetryPolicy,
-    ThirdPartyStore, TieredVault, Vault, VaultJournal, VaultTier,
+    ThirdPartyStore, TieredVault, Vault, VaultTier,
 };
 
 /// A freshly generated HotCRP instance, serialized so each sweep iteration
@@ -124,32 +125,44 @@ fn require_policy_aborts_and_rolls_back_on_vault_failure() {
 }
 
 #[test]
-fn degrade_policy_proceeds_irreversibly_with_recorded_reason() {
+fn apply_many_degrades_a_user_whose_vault_put_fails() {
+    // `apply_many` puts a user's vault entries after that user's commit,
+    // so a failed put cannot roll the disguise back: the history row is
+    // marked irreversible and the user reported failed. Every store
+    // operation fails, the batched put and the per-entry retry alike.
     let (image, user) = hotcrp_image();
-    let (db, edna) = disguiser_with_failing_vault(&image);
-    let opts = ApplyOptions {
-        vault_failure_policy: VaultFailurePolicy::Degrade,
-        ..ApplyOptions::default()
-    };
-    let report = edna
-        .apply_with_options("HotCRP-GDPR+", Some(&Value::Int(user)), opts)
-        .unwrap();
-    assert!(
-        report.rows_removed + report.rows_modified > 0,
-        "disguise applied"
+    let db = snapshot::decode(&image).unwrap();
+    let vaults = TieredVault::new(
+        Vault::plain(MemoryStore::new()),
+        Vault::plain(FaultyStore::new(
+            MemoryStore::new(),
+            FaultPlan::new(9).error_rate(1.0),
+        )),
     );
-    let reason = report
-        .vault_degraded
-        .expect("degradation recorded in report");
+    let edna = Disguiser::with_vaults(db.clone(), vaults);
+    hotcrp::register_disguises(&edna).unwrap();
+    let report = edna
+        .apply_many("HotCRP-GDPR+", &[Value::Int(user)], 1)
+        .unwrap();
+    assert_eq!(report.degraded, 1);
+    assert_eq!(report.succeeded, 0);
+    assert_eq!(report.failures.len(), 1);
+    let (failed, reason) = &report.failures[0];
+    assert_eq!(failed, &Value::Int(user));
     assert!(reason.contains("vault write failed"), "got: {reason}");
 
     // The history row is marked irreversible, with the reason as its note.
-    let event = edna.history().get(report.disguise_id).unwrap();
+    let events = edna.history().events().unwrap();
+    assert_eq!(events.len(), 1);
+    let event = &events[0];
     assert!(!event.reversible);
-    assert!(event.note.unwrap().contains("vault write failed"));
+    assert!(event
+        .note
+        .as_deref()
+        .is_some_and(|n| n.contains("vault write failed")));
     // And a reveal is refused rather than half-performed.
     assert!(matches!(
-        edna.reveal(report.disguise_id).err().unwrap(),
+        edna.reveal(event.id).err().unwrap(),
         Error::NotReversible { .. }
     ));
     // The user's data is still disguised.
@@ -162,68 +175,6 @@ fn degrade_policy_proceeds_irreversibly_with_recorded_reason() {
         .unwrap(),
         &Value::Int(0)
     );
-}
-
-#[test]
-fn buffer_policy_without_journal_is_an_error() {
-    let (image, user) = hotcrp_image();
-    let (db, edna) = disguiser_with_failing_vault(&image);
-    let before = db.dump();
-    let opts = ApplyOptions {
-        vault_failure_policy: VaultFailurePolicy::Buffer,
-        ..ApplyOptions::default()
-    };
-    let err = edna
-        .apply_with_options("HotCRP-GDPR+", Some(&Value::Int(user)), opts)
-        .err()
-        .unwrap();
-    assert!(matches!(err, Error::NoJournal), "got {err}");
-    assert_eq!(db.dump(), before, "aborted like Require");
-}
-
-#[test]
-fn buffer_policy_spools_then_flush_restores_reversibility() {
-    let dir = std::env::temp_dir().join(format!("edna_fault_buffer_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (image, user) = hotcrp_image();
-    let (db, edna) = disguiser_with_failing_vault(&image);
-    edna.set_vault_journal(VaultJournal::open(dir.join("pending.journal")).unwrap());
-
-    let opts = ApplyOptions {
-        vault_failure_policy: VaultFailurePolicy::Buffer,
-        ..ApplyOptions::default()
-    };
-    let report = edna
-        .apply_with_options("HotCRP-GDPR+", Some(&Value::Int(user)), opts)
-        .unwrap();
-    assert!(report.vault_buffered, "entry spooled to the journal");
-    assert!(report.vault_degraded.is_none());
-    assert_eq!(edna.pending_vault_writes().unwrap(), 1);
-    assert_eq!(vault_entry_total(&edna), 0, "nothing reached the vault yet");
-
-    // Reveal before the flush: the vault has no entries, so the tool
-    // refuses (the reveal functions are safe in the journal, not lost).
-    assert!(matches!(
-        edna.reveal(report.disguise_id).err().unwrap(),
-        Error::NotReversible { .. }
-    ));
-
-    // The backend healed (fail_nth(0) only killed the first op): flush,
-    // then the reveal restores the user.
-    assert_eq!(edna.flush_pending_vault_writes().unwrap(), 1);
-    assert_eq!(edna.pending_vault_writes().unwrap(), 0);
-    assert_eq!(vault_entry_total(&edna), 1);
-    edna.reveal(report.disguise_id).unwrap();
-    assert_eq!(
-        db.execute(&format!(
-            "SELECT COUNT(*) FROM ContactInfo WHERE contactId = {user}"
-        ))
-        .unwrap()
-        .scalar()
-        .unwrap(),
-        &Value::Int(1)
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -293,7 +244,7 @@ fn permanent_vault_outage_fails_within_the_deadline() {
         other => panic!("expected RetriesExhausted, got {other}"),
     }
     assert_eq!(edna.vaults().store_stats().retries, 3, "retries observable");
-    assert_eq!(db.dump(), before, "Require rolled everything back");
+    assert_eq!(db.dump(), before, "the abort rolled everything back");
 }
 
 #[test]
