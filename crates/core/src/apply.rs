@@ -490,7 +490,7 @@ impl Disguiser {
         user: Option<&Value>,
         due: impl Fn(&Disguiser) -> Result<bool>,
     ) -> Result<Option<DisguiseReport>> {
-        self.apply_checked(name, user, ApplyOptions::default(), &due)
+        self.apply_recorded(name, user, ApplyOptions::default(), &due, &mut |_| Ok(()))
     }
 
     /// Applies a registered disguise with explicit options.
@@ -500,16 +500,25 @@ impl Disguiser {
         user: Option<&Value>,
         opts: ApplyOptions,
     ) -> Result<DisguiseReport> {
-        let applied = self.apply_checked(name, user, opts, &|_| Ok(true))?;
+        let applied = self.apply_recorded(name, user, opts, &|_| Ok(true), &mut |_| Ok(()))?;
         Ok(applied.expect("an unconditional apply always applies"))
     }
 
-    fn apply_checked(
+    /// [`Disguiser::apply_if`] with explicit options and a bookkeeping
+    /// step: once the history row is written, `record` runs with the
+    /// report so far (its id and row counts are final), still inside the
+    /// apply's transaction and before anything leaves the database (the
+    /// WAL intent marker and the vault put). Rows it writes commit or
+    /// roll back with the disguise, and an error from it aborts the apply
+    /// like a failed statement. The server stores a reveal capability
+    /// and an idempotency-ledger row this way.
+    pub fn apply_recorded(
         &self,
         name: &str,
         user: Option<&Value>,
         opts: ApplyOptions,
         due: &dyn Fn(&Disguiser) -> Result<bool>,
+        record: &mut dyn FnMut(&DisguiseReport) -> Result<()>,
     ) -> Result<Option<DisguiseReport>> {
         let spec = self.spec(name)?;
         let user_value = match (spec.user_scoped, user) {
@@ -530,9 +539,9 @@ impl Disguiser {
         let started = Instant::now();
         let stats_before = self.db.stats();
         let vault_stats_before = self.vaults.store_stats();
-        let apply = || match due(self)? {
+        let mut apply = || match due(self)? {
             true => self
-                .apply_inner(&spec, &user_value, &params, opts, None)
+                .apply_inner(&spec, &user_value, &params, opts, record, None)
                 .map(Some),
             false => Ok(None),
         };
@@ -691,7 +700,14 @@ impl Disguiser {
                 // user's deferred vault entry stays in the batch and the
                 // open intent lets recovery decide.
                 match self.db.transaction(|_| {
-                    self.apply_inner(spec, user, &params, opts, Some(&mut pending))
+                    self.apply_inner(
+                        spec,
+                        user,
+                        &params,
+                        opts,
+                        &mut |_| Ok(()),
+                        Some(&mut pending),
+                    )
                 }) {
                     Ok(report) => applied.push((user.clone(), report)),
                     Err(e) => out.failures.push((user.clone(), e.to_string())),
@@ -719,7 +735,7 @@ impl Disguiser {
             // Close every intent bracket the chunk opened — including
             // degraded ones, whose history rows now say "irreversible"
             // (recovery treats a present history row as committed either
-            // way). Losing a marker here is benign: see apply_checked.
+            // way). Losing a marker here is benign: see apply_recorded.
             for (_, r) in &applied {
                 if r.wal_intent {
                     let _ = self.db.wal_disguise_commit(r.disguise_id);
@@ -799,6 +815,7 @@ impl Disguiser {
         user_value: &Value,
         params: &HashMap<String, Value>,
         opts: ApplyOptions,
+        record: &mut dyn FnMut(&DisguiseReport) -> Result<()>,
         mut vault_sink: Option<&mut Vec<PendingVaultPut>>,
     ) -> Result<DisguiseReport> {
         let mut report = DisguiseReport {
@@ -893,6 +910,7 @@ impl Disguiser {
                 .record(&spec.name, user_value, now, spec.reversible)?
         };
         report.disguise_id = id;
+        record(&report)?;
         // Every reference written so far must resolve before anything
         // leaves the database: neither the intent marker nor the vault put
         // below rolls back with the transaction.
@@ -929,8 +947,18 @@ impl Disguiser {
                 return Ok(report);
             }
             // A failed put aborts: the caller rolls the transaction back,
-            // and the history row above vanishes with it.
-            self.vaults.put(spec.vault_tier, &entry)?;
+            // and the history row above vanishes with it. Without a
+            // transaction that row has already committed, so degrade it
+            // instead, as `apply_many` does: the history must never offer
+            // a reveal the vault cannot honor.
+            if let Err(e) = self.vaults.put(spec.vault_tier, &entry) {
+                if !opts.use_transaction {
+                    let _ = self
+                        .history
+                        .mark_degraded(id, &format!("vault write failed: {e}"));
+                }
+                return Err(e.into());
+            }
         }
         Ok(report)
     }

@@ -16,9 +16,11 @@
 //!   locks from crashed processes are reclaimed, see
 //!   [`edna_util::lockfile`]);
 //! - `STATE.metrics` — Prometheus-text metrics sidecar;
-//! - `STATE.vault/global/`, `STATE.vault/user/` — file-backed vault tiers
-//!   (a non-empty `STATE.vault/pending.journal`, the plaintext spool of
-//!   vault writes an earlier edna could leave behind, is refused at open);
+//! - `STATE.vault/global/vault.log`, `STATE.vault/user/vault.log` — the
+//!   file-backed vault tiers, one append-only log each (see
+//!   [`edna_vault::FileStore`]; a non-empty `STATE.vault/pending.journal`,
+//!   the plaintext spool of vault writes an earlier edna could leave
+//!   behind, is refused at open);
 //! - registered disguise DSL texts live *in* the database, in the reserved
 //!   `_edna_spec_registry` table, so every command sees the same specs.
 //!
@@ -196,8 +198,9 @@ impl Workspace {
     /// - if recovery changed anything, the result is checkpointed so the
     ///   next open starts clean.
     ///
-    /// The file-backed vault tiers likewise sweep their temp files and
-    /// truncate torn record tails when opened.
+    /// The file-backed vault tiers likewise sweep their temp files,
+    /// truncate torn record tails and fold in the per-user files earlier
+    /// versions wrote when opened.
     ///
     /// The `<state>.lock` file is taken first and held until the
     /// workspace drops; a second process opening the same state gets a
@@ -277,13 +280,20 @@ impl Workspace {
     }
 
     /// Persists the database snapshot (checkpointing — truncating — the
-    /// WAL), plus a `<state>.metrics` sidecar with the Prometheus-text
+    /// WAL), compacts the vault logs that hold removed or purged entries,
+    /// and writes a `<state>.metrics` sidecar with the Prometheus-text
     /// rendering of this process's metrics registry (readable later via
     /// `edna stats`). The sidecar is written with the same
     /// temp-write + fsync + atomic-rename discipline as the snapshot, so
     /// a crash mid-save never leaves a torn sidecar.
     pub fn save(&self) -> Result<()> {
         self.db.save(&self.path)?;
+        // Removed and purged reveal functions leave the disk with the
+        // checkpoint, as disguised rows leave the snapshot. Between
+        // transactions, so a compaction lands neither beside a disguise's
+        // vault put nor inside a replication bootstrap's freeze.
+        self.db
+            .between_transactions(|| self.edna.vaults().compact())?;
         let target = self.metrics_path();
         let tmp = sidecar(&self.path, ".metrics.tmp");
         let metrics = self.db.metrics().render_prometheus();
@@ -591,6 +601,55 @@ tables: {
         }
         let ws = Workspace::open(&state, Some("pw")).unwrap();
         assert_eq!(ws.db.row_count("users").unwrap(), 2);
+        drop(ws);
+        cleanup(&state);
+    }
+
+    /// A checkpoint compacts the vault logs: once a disguise is revealed
+    /// and the workspace saved, no byte of its vault record is left on
+    /// disk, while a disguise still applied keeps its record.
+    #[test]
+    fn save_drops_a_revealed_disguises_vault_record() {
+        let state = temp_state("compact");
+        let ws = Workspace::init(&state, Some("pw")).unwrap();
+        ws.db
+            .execute("CREATE TABLE users (id INT PRIMARY KEY AUTO_INCREMENT, name TEXT)")
+            .unwrap();
+        ws.db
+            .execute("INSERT INTO users (name) VALUES ('bea'), ('mel')")
+            .unwrap();
+        ws.register_spec(SPEC).unwrap();
+        let logs = || -> Vec<u8> {
+            ["global", "user"]
+                .iter()
+                .flat_map(|tier| std::fs::read(vault_dir(&state, tier).join("vault.log")))
+                .flatten()
+                .collect()
+        };
+        // The bytes an apply adds to the logs: its record.
+        let apply = |user: i64| {
+            let before = logs().len();
+            let id = ws
+                .edna
+                .apply("Gdpr", Some(&Value::Int(user)))
+                .unwrap()
+                .disguise_id;
+            (id, logs()[before..].to_vec())
+        };
+        let (revealed, revealed_record) = apply(1);
+        let (_, kept_record) = apply(2);
+        assert!(!revealed_record.is_empty() && !kept_record.is_empty());
+        ws.edna.reveal(revealed).unwrap();
+        ws.save().unwrap();
+        let contains = |hay: &[u8], needle: &[u8]| hay.windows(needle.len()).any(|w| w == needle);
+        let after = logs();
+        assert!(contains(&after, &kept_record), "the live record survives");
+        // Its trailing checksum is unique to the record: not even that is left.
+        let digest = &revealed_record[revealed_record.len() - 32..];
+        assert!(
+            !contains(&after, digest),
+            "the revealed record left the disk"
+        );
         drop(ws);
         cleanup(&state);
     }

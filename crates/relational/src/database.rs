@@ -585,6 +585,17 @@ impl Database {
         Ok(value)
     }
 
+    /// Runs `f` while no other thread's transaction is open: like a
+    /// statement, it holds the gate's shared side, so a transaction waits
+    /// for it and it waits out an open one, while other statements run
+    /// alongside. On the thread that owns the open transaction, `f` runs
+    /// inside it. For work outside the engine that must not interleave
+    /// with a transaction; `f` must not itself run statements.
+    pub fn between_transactions<T>(&self, f: impl FnOnce() -> T) -> T {
+        let _gate = self.enter_gate();
+        f()
+    }
+
     // ---- write-ahead log and recovery --------------------------------------
 
     /// Attaches a write-ahead log: from now on every committed transaction

@@ -580,8 +580,9 @@ impl ReplHub {
     }
 }
 
-/// Installs the hub's taps on a primary workspace: the WAL frame sink,
-/// the group-commit gate, and the vault ship hook.
+/// Installs the hub's WAL taps on a primary workspace: the frame sink
+/// and the group-commit gate. The vault tap follows with the first
+/// follower (see [`tap_vault`]).
 pub fn install(hub: &Arc<ReplHub>, ws: &Workspace) {
     if let Some(wal) = ws.db.wal() {
         let sink = hub.clone();
@@ -591,6 +592,14 @@ pub fn install(hub: &Arc<ReplHub>, ws: &Workspace) {
         let gate = hub.clone();
         wal.set_commit_gate(Some(Arc::new(move |lsn| gate.gate(lsn))));
     }
+}
+
+/// Installs the hub's vault ship hook. A bootstrap calls this inside its
+/// freeze, before it registers its follower, so no vault mutation falls
+/// between the copied files and the hook. Until a follower exists no one
+/// needs the vault's bytes, and a compaction need not read the whole log
+/// back to ship it.
+pub fn tap_vault(hub: &Arc<ReplHub>, ws: &Workspace) {
     let vault = hub.clone();
     ws.set_vault_ship_hook(Some(Arc::new(move |kind, name, bytes: &[u8]| {
         vault.offer_vault(kind, name, bytes);

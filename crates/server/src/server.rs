@@ -170,8 +170,9 @@ pub fn start(svc: Arc<Service>, config: ServerConfig) -> std::io::Result<ServerH
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     // Every non-replica server is follower-capable: attach the hub and
-    // tap the WAL and vault so `repl stream` handshakes have a live
-    // feed. A replica (attached before `start`) accepts no followers.
+    // tap the WAL so `repl stream` handshakes have a live feed (the vault
+    // tap goes in with the first follower). A replica (attached before
+    // `start`) accepts no followers.
     if !svc.is_replica() && svc.hub().is_none() {
         let hub = crate::repl::ReplHub::new(
             svc.workspace(),
@@ -399,7 +400,8 @@ fn send(stream: &mut TcpStream, resp: &Response) -> bool {
 }
 
 /// Every vault-side file of `state`, as `(relative name, bytes)` pairs
-/// in the stream's naming scheme (`global/…`, `user/…`).
+/// in the stream's naming scheme: `global/vault.log` and `user/vault.log`,
+/// each present once its tier holds an entry.
 fn vault_bootstrap_files(state: &std::path::Path) -> std::io::Result<Vec<(String, Vec<u8>)>> {
     let root = edna_core::workspace::sidecar(state, ".vault");
     let mut out = Vec::new();
@@ -484,6 +486,7 @@ fn repl_stream_connection(mut stream: TcpStream, svc: &Arc<Service>, req: &Reque
         let vault = vault_bootstrap_files(&ws.path)
             .map_err(|e| fail(format!("cannot read vault files: {e}")))?;
         let last_lsn = ws.db.wal_last_lsn();
+        crate::repl::tap_vault(&hub, ws);
         let follower = hub.register(peer.clone());
         Ok((snapshot, wal, vault, last_lsn, follower))
     });

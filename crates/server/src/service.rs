@@ -5,10 +5,12 @@
 //! engine, not here: `apply` and `reveal` each run in one
 //! `Database::transaction`, which other threads' statements,
 //! checkpoints and policy ticks wait for, while plain `sql` statements
-//! commit on their own. The one service-level lock is the idempotency
-//! mutex an `apply`/`apply_many` with an `idem` header takes, so its
-//! ledger lookup, application and ledger record are one step against a
-//! same-key retry.
+//! commit on their own. An `apply` writes its reveal capability and its
+//! idempotency-ledger row in its own transaction, so a same-key retry
+//! waits for it on the engine gate. The one service-level lock is the
+//! idempotency mutex an `apply_many` with an `idem` header takes, since
+//! its users commit one transaction each: its ledger lookup, application
+//! and ledger record are one step against a same-key retry.
 //!
 //! Wire-level `BEGIN`/`COMMIT`/`ROLLBACK` is rejected outright: a
 //! transaction is a closure in the engine's API, and a remote client
@@ -18,12 +20,15 @@
 //! apply runs, because that is precisely when an operator probes
 //! liveness.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use edna_core::{render_report, ApplyOptions, Policy, Scheduler, TickOutcome, Workspace};
+use edna_core::{
+    render_report, ApplyOptions, DisguiseReport, Policy, Scheduler, TickOutcome, Workspace,
+};
 use edna_obs::{Counter, Histogram};
 use edna_relational::{Database, Value};
 use edna_util::frame;
@@ -50,6 +55,22 @@ fn ensure_requests_table(db: &Database) -> edna_core::Result<()> {
         ))?;
     }
     edna_core::ensure_index(db, REQUESTS_TABLE, "idem_key")
+}
+
+/// The `ok` reply to an applied disguise.
+fn applied_reply(report: &DisguiseReport) -> Response {
+    Response::ok(format!(
+        "applied {} (id {}): removed {}, decorrelated {}, modified {}, \
+         placeholders {}, recorrelated {}\n",
+        report.name,
+        report.disguise_id,
+        report.rows_removed,
+        report.rows_decorrelated,
+        report.rows_modified,
+        report.placeholders_created,
+        report.rows_recorrelated,
+    ))
+    .header("id", report.disguise_id.to_string())
 }
 
 /// This node's place in a replication topology.
@@ -100,8 +121,9 @@ fn idem_key(req: &Request) -> Result<Option<String>, Response> {
 /// The request-handling core, shared across workers behind an `Arc`.
 pub struct Service {
     ws: Workspace,
-    /// Held by an `apply`/`apply_many` carrying an `idem` header from its
-    /// ledger lookup through its ledger record.
+    /// Held by an `apply_many` carrying an `idem` header from its ledger
+    /// lookup through its ledger record. (An `apply` does both inside its
+    /// own transaction instead.)
     idem: Mutex<()>,
     /// The registered policies with their persisted last-run stamps;
     /// ticked by the decay daemon through [`Service::policy_tick_at`].
@@ -444,6 +466,13 @@ impl Service {
         }
     }
 
+    /// `apply <name>`: one transaction does the ledger lookup (in the
+    /// apply's `due` check), the disguise, and the bookkeeping — the
+    /// reveal capability's hash and, with an `idem` header, the ledger
+    /// row holding the rendered reply — before the WAL intent marker and
+    /// the vault put. So a reply is `ok` only if all of it committed, a
+    /// failure leaves none of it behind, and a same-key retry waits on
+    /// the engine gate for the first attempt, then replays its reply.
     fn op_apply(&self, req: &Request) -> Response {
         let Some(name) = req.arg.as_deref() else {
             return Response::err(code::USAGE, "apply needs a disguise name: `apply <name>`");
@@ -459,13 +488,66 @@ impl Service {
             Ok(k) => k,
             Err(resp) => return resp,
         };
-        self.idempotent(idem.as_deref(), || self.do_apply(name, user.as_ref(), opts))
+        let reversible = match self.ws.edna.spec(name) {
+            Ok(spec) => spec.reversible,
+            Err(e) => return Response::err(code::RUNTIME, e.to_string()),
+        };
+        let replay = RefCell::new(None);
+        let due = |_: &edna_core::Disguiser| {
+            let Some(key) = idem.as_deref() else {
+                return Ok(true);
+            };
+            let found = self.idem_lookup(key).map_err(edna_core::Error::Workspace)?;
+            let due = found.is_none();
+            *replay.borrow_mut() = found;
+            Ok(due)
+        };
+        let mut reply = None;
+        let mut record = |report: &DisguiseReport| {
+            let mut resp = applied_reply(report);
+            // A reversible application gets a one-time reveal capability;
+            // only its hash survives in the database.
+            if reversible {
+                let token = caps::store(&self.ws.db, report.disguise_id, &caps::mint()?)?;
+                resp = resp.header("cap", token);
+            }
+            if let Some(key) = idem.as_deref() {
+                self.ws.db.insert_row(
+                    REQUESTS_TABLE,
+                    &[
+                        ("idem_key", Value::Text(key.to_string())),
+                        ("reply", Value::Text(resp.render())),
+                    ],
+                )?;
+            }
+            reply = Some(resp);
+            Ok(())
+        };
+        match self
+            .ws
+            .edna
+            .apply_recorded(name, user.as_ref(), opts, &due, &mut record)
+        {
+            Ok(Some(_)) => {
+                if reversible {
+                    self.caps_minted_total.inc();
+                }
+                reply.expect("an applied disguise ran its bookkeeping")
+            }
+            Ok(None) => {
+                self.idem_replays_total.inc();
+                replay
+                    .into_inner()
+                    .expect("only a recorded key skips the apply")
+            }
+            Err(e) => Response::err(code::RUNTIME, e.to_string()),
+        }
     }
 
-    /// Runs `apply` once per idempotency key: under the idem mutex, a key
-    /// already in the ledger replays its stored reply, and a new key's
+    /// Runs `apply_many` once per idempotency key: under the idem mutex, a
+    /// key already in the ledger replays its stored reply, and a new key's
     /// successful reply is recorded before the mutex is released. Without
-    /// a key, `apply` just runs.
+    /// a key, `apply_many` just runs.
     fn idempotent(&self, key: Option<&str>, apply: impl FnOnce() -> Response) -> Response {
         let Some(key) = key else { return apply() };
         let _idem = lock_unpoisoned(&self.idem);
@@ -476,54 +558,6 @@ impl Service {
             }
             Ok(None) => self.idem_record(key, apply()),
             Err(e) => Response::err(code::RUNTIME, e),
-        }
-    }
-
-    fn do_apply(
-        &self,
-        name: &str,
-        user: Option<&edna_relational::Value>,
-        opts: ApplyOptions,
-    ) -> Response {
-        let reversible = match self.ws.edna.spec(name) {
-            Ok(spec) => spec.reversible,
-            Err(e) => return Response::err(code::RUNTIME, e.to_string()),
-        };
-        match self.ws.edna.apply_with_options(name, user, opts) {
-            Ok(report) => {
-                let mut resp = Response::ok(format!(
-                    "applied {} (id {}): removed {}, decorrelated {}, modified {}, \
-                     placeholders {}, recorrelated {}\n",
-                    report.name,
-                    report.disguise_id,
-                    report.rows_removed,
-                    report.rows_decorrelated,
-                    report.rows_modified,
-                    report.placeholders_created,
-                    report.rows_recorrelated,
-                ))
-                .header("id", report.disguise_id.to_string());
-                // A reversible application gets a one-time reveal
-                // capability; only its hash survives in the database.
-                if reversible && report.disguise_id != 0 {
-                    let minted = caps::mint()
-                        .and_then(|cap| caps::store(&self.ws.db, report.disguise_id, &cap));
-                    match minted {
-                        Ok(token) => {
-                            self.caps_minted_total.inc();
-                            resp = resp.header("cap", token);
-                        }
-                        Err(e) => {
-                            return Response::err(
-                                code::RUNTIME,
-                                format!("applied but could not mint capability: {e}"),
-                            )
-                        }
-                    }
-                }
-                resp
-            }
-            Err(e) => Response::err(code::RUNTIME, e.to_string()),
         }
     }
 
@@ -588,7 +622,7 @@ impl Service {
     }
 
     /// Answers a deduplicated retry from the ledger, if `key` has been
-    /// seen. Caller holds the idem mutex.
+    /// seen. Caller holds the idem mutex or the apply's transaction.
     fn idem_lookup(&self, key: &str) -> Result<Option<Response>, String> {
         let mut params = HashMap::new();
         params.insert("K".to_string(), Value::Text(key.to_string()));
@@ -609,11 +643,13 @@ impl Service {
         Ok(Some(replay.header("idem", "replayed")))
     }
 
-    /// Records a successful reply under its idempotency key so a wire
-    /// retry replays it instead of re-applying. Failed applies are not
-    /// recorded — they mutated nothing, so retrying them for real is
+    /// Records a successful `apply_many` reply under its idempotency key
+    /// so a wire retry replays it instead of re-applying. Failed calls are
+    /// not recorded — they mutated nothing, so retrying them for real is
     /// correct. Caller holds the idem mutex, which is what makes
-    /// lookup-then-record atomic against concurrent retries.
+    /// lookup-then-record atomic against concurrent retries. The record
+    /// commits after the disguises do, so a crash between them leaves a
+    /// retry that applies again.
     fn idem_record(&self, key: &str, resp: Response) -> Response {
         if !resp.ok {
             return resp;
@@ -1145,6 +1181,71 @@ tables: {
             assert_eq!(r.code.as_deref(), Some(code::USAGE), "key {bad:?}");
         }
         drop(svc);
+        cleanup(&state);
+    }
+
+    /// The capability and the ledger row commit with the disguise: when
+    /// the last statement of an `idem` apply (the ledger insert) fails,
+    /// nothing of the apply is left, and the retry applies exactly once.
+    #[test]
+    fn a_failed_ledger_insert_leaves_nothing_and_the_retry_applies_once() {
+        let (svc, state) = service("idem_abort");
+        let ws = svc.workspace();
+        let apply = |user: &str, key: &str| {
+            svc.handle(
+                &Request::new("apply")
+                    .arg("Gdpr")
+                    .header("user", user)
+                    .header("idem", key),
+            )
+        };
+        let count = |sql: &str| match ws.db.execute(sql).unwrap().scalar().unwrap() {
+            Value::Int(n) => *n,
+            other => panic!("count returned {other:?}"),
+        };
+        let history_of_2 = || {
+            count(&format!(
+                "SELECT COUNT(*) FROM {} WHERE userId = '2'",
+                edna_core::HISTORY_TABLE
+            ))
+        };
+        let caps = || count(&format!("SELECT COUNT(*) FROM {}", caps::CAPS_TABLE));
+
+        // Count an `idem` apply's statements with a hook that never fires.
+        ws.db.set_fault_hook(Some(std::sync::Arc::new(|_| false)));
+        assert!(apply("1", "req-1").ok);
+        let statements = ws.db.fault_statement_count();
+        let vault_bytes = ws.edna.vaults().storage_bytes().unwrap();
+        let caps_before = caps();
+
+        ws.db.fail_statement(statements - 1);
+        let failed = apply("2", "req-2");
+        ws.db.set_fault_hook(None);
+        assert!(!failed.ok, "{}", failed.body);
+        assert!(
+            failed.body.contains(&format!(
+                "injected fault at statement index {}",
+                statements - 1
+            )),
+            "{}",
+            failed.body
+        );
+        assert_eq!(history_of_2(), 0, "no history row");
+        assert_eq!(caps(), caps_before, "no capability row");
+        assert_eq!(
+            ws.edna.vaults().storage_bytes().unwrap(),
+            vault_bytes,
+            "no vault entry"
+        );
+
+        let retry = apply("2", "req-2");
+        assert!(retry.ok, "{}", retry.body);
+        assert_eq!(retry.header_value("idem"), None, "the retry really applies");
+        assert_eq!(history_of_2(), 1);
+        let again = apply("2", "req-2");
+        assert_eq!(again.header_value("idem"), Some("replayed"));
+        assert_eq!(again.header_value("cap"), retry.header_value("cap"));
+        assert_eq!(history_of_2(), 1, "exactly one history row for the key");
         cleanup(&state);
     }
 

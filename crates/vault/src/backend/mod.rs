@@ -5,7 +5,8 @@
 //! Each maps to a [`VaultStore`] implementation here:
 //!
 //! - [`MemoryStore`] — application-adjacent tables (what the prototype uses);
-//! - [`FileStore`] — offline storage on a filesystem path;
+//! - [`FileStore`] — offline storage: one append-only log file per
+//!   store, under a filesystem path;
 //! - [`ThirdPartyStore`] — a latency-injecting wrapper simulating a remote
 //!   third-party vault service;
 //! - [`FaultyStore`] — a fault-injecting wrapper driven by a seedable
@@ -97,6 +98,13 @@ pub trait VaultStore: Send + Sync {
             }
         }
         Ok(total)
+    }
+
+    /// Reclaims the space removed and purged entries still take up;
+    /// returns whether anything was reclaimed. Stores that drop entries
+    /// in place (the default) have nothing to do.
+    fn compact(&self) -> Result<bool> {
+        Ok(false)
     }
 
     /// Persists only `keep` (a fraction in `0.0..1.0`) of the encoded

@@ -9,10 +9,10 @@
 //! Two event shapes cover every mutation the file backends perform:
 //!
 //! - [`ShipKind::Append`]: `bytes` were appended to the named file
-//!   (entry puts);
+//!   (entry puts, and the tombstones of removals and expiry purges);
 //! - [`ShipKind::Replace`]: the named file now contains exactly `bytes`
-//!   (entry removal and expiry purges rewrite via temp-file + rename;
-//!   empty `bytes` means the file was removed).
+//!   (compaction rewrites the log via temp-file + rename; empty `bytes`
+//!   means the file was removed).
 //!
 //! Hooks run synchronously inside the store's lock, after the mutation
 //! is durable locally — they must only enqueue, never block.
@@ -32,7 +32,7 @@ pub enum ShipKind {
 
 /// The hook signature: `(kind, file name, bytes)`. The file name is the
 /// bare name within the emitting store's directory (e.g.
-/// `vault_3139.bin`); the installer is expected to wrap the hook with
+/// `vault.log`); the installer is expected to wrap the hook with
 /// whatever tier prefix it needs.
 pub type ShipFn = dyn Fn(ShipKind, &str, &[u8]) + Send + Sync;
 
@@ -54,6 +54,12 @@ impl ShipSlot {
     /// Installs (or with `None` removes) the hook.
     pub fn install(&self, hook: Option<Arc<ShipFn>>) {
         *write_unpoisoned(&self.hook) = hook;
+    }
+
+    /// Whether a hook is installed, for emitters that would otherwise
+    /// read bytes back only to ship them.
+    pub fn is_installed(&self) -> bool {
+        read_unpoisoned(&self.hook).is_some()
     }
 
     /// Emits one mutation to the installed hook, if any.

@@ -79,6 +79,13 @@ impl TieredVault {
         Ok(self.global.purge_expired(now)? + self.per_user.purge_expired(now)?)
     }
 
+    /// Compacts both tiers (see [`Vault::compact`]).
+    pub fn compact(&self) -> Result<()> {
+        self.global.compact()?;
+        self.per_user.compact()?;
+        Ok(())
+    }
+
     /// Total bytes at rest across both tiers.
     pub fn storage_bytes(&self) -> Result<usize> {
         Ok(self.global.storage_bytes()? + self.per_user.storage_bytes()?)

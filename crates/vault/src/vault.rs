@@ -225,6 +225,12 @@ impl Vault {
         self.store.purge_expired(now)
     }
 
+    /// Reclaims the space of removed and purged entries (see
+    /// [`VaultStore::compact`]); returns whether anything was reclaimed.
+    pub fn compact(&self) -> Result<bool> {
+        self.store.compact()
+    }
+
     /// Total stored entries.
     pub fn entry_count(&self) -> Result<usize> {
         self.store.entry_count()

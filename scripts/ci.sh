@@ -128,12 +128,14 @@ target/release/edna stats "$CHECK_DIR/hotcrp" | grep -q "edna_statements_total"
 echo "trace smoke OK"
 
 echo "==> crash-sweep (WAL kill sweep + recover --verify smoke)"
-# The kill sweep crashes disguise application at every WAL frame in
-# every crash style and asserts recovery lands on a consistent state;
-# release mode so the sweep exercises the same codegen users run.
+# The kill sweeps crash disguise application (and an idempotent wire
+# apply) at every WAL frame in every crash style and assert recovery
+# lands on a consistent state, applied exactly once; release mode so the
+# sweeps exercise the same codegen users run.
 cargo test --release -p edna-relational --test durability --quiet
 cargo test --release --test fault_sweep --quiet
 cargo test --release -p edna-cli --test recovery --quiet
+cargo test --release -p edna-server --test idem_crash --quiet
 # A disguise was applied to the hotcrp demo above; recover must find a
 # quiescent, structurally intact state.
 target/release/edna recover "$CHECK_DIR/hotcrp" --verify | grep -q "integrity: ok"

@@ -2,7 +2,8 @@
 //! — it either fully applies or leaves no trace") exercised by killing the
 //! apply at *every* statement index, plus vault failures end to end: a
 //! failed put aborts a single apply, degrades an `apply_many` user whose
-//! commit already landed, and a torn vault tail recovers across reopen.
+//! commit already landed (and an apply run without a transaction), and a
+//! torn vault tail recovers across reopen.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -175,6 +176,53 @@ fn apply_many_degrades_a_user_whose_vault_put_fails() {
         .unwrap(),
         &Value::Int(0)
     );
+}
+
+#[test]
+fn an_untransacted_apply_degrades_when_its_vault_put_fails() {
+    // Without a transaction the row changes and the history row commit
+    // statement by statement, before the vault put: a failed put cannot
+    // roll them back, so the history row must stop offering a reveal.
+    let (image, user) = hotcrp_image();
+    let db = snapshot::decode(&image).unwrap();
+    let vaults = TieredVault::new(
+        Vault::plain(MemoryStore::new()),
+        Vault::plain(FaultyStore::new(
+            MemoryStore::new(),
+            FaultPlan::new(1).fail_nth(0),
+        )),
+    );
+    let edna = Disguiser::with_vaults(db.clone(), vaults);
+    hotcrp::register_disguises(&edna).unwrap();
+    let opts = edna::core::ApplyOptions {
+        use_transaction: false,
+        ..Default::default()
+    };
+    let err = edna
+        .apply_with_options("HotCRP-GDPR+", Some(&Value::Int(user)), opts)
+        .expect_err("the vault failure is reported");
+    assert!(
+        matches!(err, Error::Vault(VaultError::Injected { .. })),
+        "got {err}"
+    );
+    let events = edna.history().events().unwrap();
+    assert_eq!(events.len(), 1, "the history row committed");
+    let event = &events[0];
+    assert!(!event.reversible);
+    assert!(
+        event
+            .note
+            .as_deref()
+            .is_some_and(|n| n.contains("vault write failed")),
+        "got {:?}",
+        event.note
+    );
+    match edna.reveal(event.id).err().unwrap() {
+        Error::NotReversible { reason, .. } => {
+            assert!(reason.contains("applied irreversibly"), "got: {reason}")
+        }
+        other => panic!("expected NotReversible, got {other}"),
+    }
 }
 
 #[test]
