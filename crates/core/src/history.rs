@@ -139,15 +139,6 @@ impl HistoryLog {
         self.events_where("TRUE", &HashMap::new())
     }
 
-    /// Non-reverted, reversible events strictly older than `id` (candidates
-    /// for apply-time composition, §4.2).
-    pub fn active_before(&self, id: u64) -> Result<Vec<DisguiseEvent>> {
-        self.events_where(
-            "id < $ID AND reverted = FALSE AND reversible = TRUE",
-            &id_param(id),
-        )
-    }
-
     /// Non-reverted, reversible events whose reveal functions cover
     /// `user_id`'s data — the user's own plus every global one — oldest
     /// first: the priors apply-time composition recorrelates (§4.2). Two
@@ -168,7 +159,8 @@ impl HistoryLog {
     }
 
     /// Non-reverted events strictly newer than `id` (the "relevant log
-    /// interval" re-applied after a reveal, §4.2).
+    /// interval" re-applied after a reveal, §4.2): a range probe of the
+    /// primary key, so its cost follows the events after `id`.
     pub fn active_after(&self, id: u64) -> Result<Vec<DisguiseEvent>> {
         self.events_where("id > $ID AND reverted = FALSE", &id_param(id))
     }
@@ -313,15 +305,15 @@ mod tests {
         let a = log.record("A", &Value::Int(1), 1, true).unwrap();
         let b = log.record("B", &Value::Null, 2, true).unwrap();
         let c = log.record("C", &Value::Int(2), 3, false).unwrap();
-        // Before c: both a and b (reversible, unreverted).
-        let before = log.active_before(c).unwrap();
-        assert_eq!(before.iter().map(|e| e.id).collect::<Vec<_>>(), vec![a, b]);
+        // Composition candidates for user 1: a and the global b.
+        let for_1 = log.active_for(&Value::Int(1)).unwrap();
+        assert_eq!(for_1.iter().map(|e| e.id).collect::<Vec<_>>(), vec![a, b]);
         // After a: b and c.
         let after = log.active_after(a).unwrap();
         assert_eq!(after.iter().map(|e| e.id).collect::<Vec<_>>(), vec![b, c]);
         // Irreversible c is not a composition candidate.
-        let before2 = log.active_before(99).unwrap();
-        assert!(!before2.iter().any(|e| e.id == c));
+        let for_2 = log.active_for(&Value::Int(2)).unwrap();
+        assert_eq!(for_2.iter().map(|e| e.id).collect::<Vec<_>>(), vec![b]);
     }
 
     #[test]
@@ -386,7 +378,7 @@ mod tests {
         let a = log.record("A", &Value::Int(1), 1, true).unwrap();
         log.mark_reverted(a).unwrap();
         assert!(log.get(a).unwrap().reverted);
-        assert!(log.active_before(99).unwrap().is_empty());
+        assert!(log.active_for(&Value::Int(1)).unwrap().is_empty());
         assert!(matches!(
             log.mark_reverted(42),
             Err(Error::NoSuchApplication(42))
@@ -403,7 +395,7 @@ mod tests {
         assert!(!e.reversible, "degraded applications are irreversible");
         assert_eq!(e.note.as_deref(), Some("vault error: it's down"));
         // Degraded events are no longer composition candidates.
-        assert!(log.active_before(99).unwrap().is_empty());
+        assert!(log.active_for(&Value::Int(1)).unwrap().is_empty());
         assert!(matches!(
             log.mark_degraded(42, "x"),
             Err(Error::NoSuchApplication(42))

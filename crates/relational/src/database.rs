@@ -37,7 +37,7 @@ use std::sync::{Mutex, RwLock};
 use edna_obs::{Histogram, MetricsRegistry, Tracer, DEFAULT_LATENCY_BUCKETS_US};
 use edna_util::sync::{lock_unpoisoned, read_unpoisoned, write_unpoisoned};
 
-use crate::access::AccessPath;
+use crate::access::{column_names, AccessPath};
 use crate::error::{Error, Result};
 use crate::exec::{Inner, QueryResult};
 use crate::expr::Expr;
@@ -67,7 +67,7 @@ pub struct Database {
     /// Held exclusively by an open [`Database::transaction`], shared by
     /// every other thread's statement (see the module docs).
     gate: Arc<RwLock<()>>,
-    stats: Arc<Stats>,
+    pub(crate) stats: Arc<Stats>,
     latency: Arc<RwLock<LatencyModel>>,
     fault: Arc<FaultState>,
     stmt_cache: Arc<Mutex<StmtCache>>,
@@ -221,7 +221,7 @@ impl Database {
 
     /// Read-locks the engine state (behind the gate), recovering from
     /// poisoning first.
-    fn inner_read(&self) -> Locked<'_, RwLockReadGuard<'_, Inner>> {
+    pub(crate) fn inner_read(&self) -> Locked<'_, RwLockReadGuard<'_, Inner>> {
         let gate = self.enter_gate();
         if self.inner.is_poisoned() {
             self.repair_poisoned();
@@ -1201,13 +1201,17 @@ impl Database {
         })
     }
 
-    /// The access path execution would use for `table` under `pred` — the
-    /// same (cached) decision the executor makes, exposed for `explain`.
+    /// The access path `SELECT ... FROM table WHERE pred` would use — the
+    /// same (cached) decision the executor makes.
     pub fn access_path(&self, table: &str, pred: Option<&Expr>) -> Result<AccessPath> {
         let inner = self.inner_read();
         let t = inner.table(table)?;
+        let qualifier = Some(t.schema.name.as_str());
+        let columns = column_names(t, qualifier);
         Ok(match pred {
-            Some(p) => inner.cached_access_path(t, p, &self.stats),
+            Some(p) => inner
+                .cached_access_path(t, qualifier, &columns, p, &self.stats)
+                .public(t),
             None => AccessPath::FullScan,
         })
     }
@@ -1484,7 +1488,7 @@ thread_local! {
 /// The engine state under its lock, plus the gate's shared side when the
 /// locking thread does not own the open transaction. The state lock is
 /// released first.
-struct Locked<'a, G> {
+pub(crate) struct Locked<'a, G> {
     state: G,
     _gate: Option<RwLockReadGuard<'a, ()>>,
 }
@@ -2222,9 +2226,9 @@ mod obs_tests {
             .unwrap();
         assert_eq!(probe[2], Value::Int(1));
 
-        // An unindexed predicate falls back to a scan over all 10 rows.
+        // A predicate no index serves falls back to a scan over all 10 rows.
         let r = d
-            .execute("EXPLAIN ANALYZE SELECT id FROM t WHERE id > 5")
+            .execute("EXPLAIN ANALYZE SELECT id FROM t WHERE v LIKE 'v%'")
             .unwrap();
         let scan = r
             .rows
@@ -2232,6 +2236,17 @@ mod obs_tests {
             .find(|row| row[0] == Value::Text("scan".into()))
             .expect("scan operator");
         assert_eq!(scan[2], Value::Int(10), "scan reads every live row");
+
+        // A comparison on an indexed column walks the index range.
+        let r = d
+            .execute("EXPLAIN ANALYZE SELECT id FROM t WHERE id > 5")
+            .unwrap();
+        let range = r
+            .rows
+            .iter()
+            .find(|row| row[0] == Value::Text("range".into()))
+            .expect("range operator");
+        assert_eq!(range[2], Value::Int(5), "the range yields ids 6 to 10");
     }
 
     #[test]

@@ -6,19 +6,24 @@
 //! constraint checks cannot be bypassed.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
 use edna_util::sync::lock_unpoisoned;
 
-use crate::access::{choose_access_path, AccessPath};
+use crate::access::{
+    choose_access_path, choose_join, column_names, point_key, probe_key, range_keys, JoinPath, Path,
+};
 use crate::error::{Error, Result};
-use crate::expr::{eval, eval_predicate, BinOp, EvalContext, Expr};
-use crate::parser::{AggFunc, AlterAction, Join, JoinKind, Projection, SelectStmt, Statement};
+use crate::expr::{eval, eval_predicate, EvalContext, Expr};
+use crate::parser::{
+    AggFunc, AlterAction, Join, JoinKind, OrderKey, Projection, SelectStmt, Statement,
+};
 use crate::schema::{ForeignKey, ReferentialAction, TableSchema};
 use crate::stats::Stats;
-use crate::storage::{RowId, Table};
+use crate::storage::{Index, RowId, Table};
 use crate::txn::{Txn, UndoOp};
 use crate::value::{Row, Value};
 
@@ -60,7 +65,7 @@ impl QueryResult {
 /// ran, how many rows it produced, and the wall-clock time it took.
 #[derive(Debug, Clone)]
 pub(crate) struct OpProfile {
-    /// Operator kind (`scan`, `probe`, `join`, `filter`, ...).
+    /// Operator kind (`scan`, `probe`, `range`, `index join`, `filter`, ...).
     pub op: &'static str,
     /// Human-readable specifics (table, index, join target).
     pub detail: String,
@@ -81,14 +86,19 @@ pub(crate) struct Inner {
     pub txn: Option<Txn>,
     /// Logical clock returned by `NOW()`.
     pub now: i64,
-    /// Cached access-path decisions keyed by
-    /// `(lowercase table name, predicate text)`. The predicate text is the
-    /// *pre-bind* form (`id = $UID`), so one entry serves every binding of
-    /// a parameterized shape. Interior mutability lets the read path
-    /// populate it under the engine's shared (read) lock. Cleared by any
-    /// DDL — including DDL undone by a rollback.
-    plan_cache: Mutex<HashMap<(String, String), AccessPath>>,
+    /// Cached access-path decisions keyed by `(lowercase table name,
+    /// lowercase qualifier, predicate text)`. The qualifier is the name
+    /// the statement's columns carry (`None` for UPDATE and DELETE): it
+    /// decides which conjuncts resolve to the table. The predicate text is
+    /// the *pre-bind* form (`id = $UID`), so one entry serves every
+    /// binding of a parameterized shape. Interior mutability lets the read
+    /// path populate it under the engine's shared (read) lock. Cleared by
+    /// any DDL — including DDL undone by a rollback.
+    plan_cache: Mutex<HashMap<PlanKey, Path>>,
 }
+
+/// A plan-cache key: `(table, qualifier, predicate text)`.
+type PlanKey = (String, Option<String>, String);
 
 /// Entries the plan cache may hold before it is wholesale cleared; a
 /// backstop against unbounded per-row literal predicates, far above the
@@ -119,27 +129,34 @@ impl Inner {
         lock_unpoisoned(&self.plan_cache).clear();
     }
 
-    /// The access path for `table` under the *pre-bind* predicate `pred`,
+    /// The access path for `table`, whose columns the statement names
+    /// `columns` under `qualifier`, for the *pre-bind* predicate `pred`,
     /// served from the plan cache when the shape was seen before.
     pub(crate) fn cached_access_path(
         &self,
         table: &Table,
+        qualifier: Option<&str>,
+        columns: &[String],
         pred: &Expr,
         stats: &Stats,
-    ) -> AccessPath {
-        let key = (table.schema.name.to_lowercase(), pred.to_string());
+    ) -> Path {
+        let key = (
+            table.schema.name.to_lowercase(),
+            qualifier.map(str::to_lowercase),
+            pred.to_string(),
+        );
         // Poison-tolerant: the cache only ever holds complete entries, so
         // a panic elsewhere must not wedge every later plan lookup.
         let mut cache = lock_unpoisoned(&self.plan_cache);
-        if let Some(path) = cache.get(&key) {
+        if let Some(&path) = cache.get(&key) {
             stats.bump(&stats.plan_cache_hits, 1);
-            return path.clone();
+            return path;
         }
-        let path = choose_access_path(table, Some(pred));
+        let path = choose_access_path(table, columns, pred);
         if cache.len() >= PLAN_CACHE_CAP {
             cache.clear();
         }
-        cache.insert(key, path.clone());
+        cache.insert(key, path);
         path
     }
 
@@ -648,8 +665,80 @@ impl Inner {
         })
     }
 
-    /// Row ids in `table` matching the optional predicate, using an index
-    /// when the predicate pins an indexed column to a constant.
+    /// The one probe-or-scan block: the ids of `t`'s rows that the
+    /// chooser's path for `pred` yields, in slot order, and that path.
+    /// `pred` pairs the WHERE as written (the plan-cache key) with its
+    /// subquery-resolved form, whose constants the probe reads.
+    fn candidates<'t>(
+        &self,
+        t: &'t Table,
+        qualifier: Option<&str>,
+        columns: &[String],
+        pred: Option<(&Expr, &Expr)>,
+        params: &HashMap<String, Value>,
+        stats: &Stats,
+    ) -> Result<(Path, Cow<'t, [RowId]>)> {
+        let path = match pred {
+            Some((written, _)) => self.cached_access_path(t, qualifier, columns, written, stats),
+            None => Path::Scan,
+        };
+        let index = |i: usize| {
+            stats.bump(&stats.index_probes, 1);
+            let ix = &t.indexes[i];
+            (ix, ix.column, t.schema.columns[ix.column].ty)
+        };
+        let ids = match (path, pred) {
+            (Path::Point(i), Some((_, resolved))) => {
+                let (ix, column, ty) = index(i);
+                match point_key(resolved, columns, column, ty, params)? {
+                    Some(key) => Cow::Borrowed(ix.lookup(&key)),
+                    None => Cow::Borrowed(&[][..]),
+                }
+            }
+            (Path::Range(i), Some((_, resolved))) => {
+                let (ix, column, ty) = index(i);
+                let (lo, hi) = range_keys(resolved, columns, column, ty, params)?;
+                Cow::Owned(ix.range(lo, hi))
+            }
+            _ => {
+                stats.bump(&stats.table_scans, 1);
+                Cow::Owned(t.row_ids())
+            }
+        };
+        Ok((path, ids))
+    }
+
+    /// Keeps the rows that pass `pred` (every row without one), evaluated
+    /// against `columns`. Rows stay borrowed: a statement clones only
+    /// what it keeps.
+    fn filter<'r>(
+        &self,
+        rows: Vec<(usize, &'r Row)>,
+        columns: &[String],
+        pred: Option<&Expr>,
+        params: &HashMap<String, Value>,
+    ) -> Result<Vec<(usize, &'r Row)>> {
+        let Some(pred) = pred else {
+            return Ok(rows);
+        };
+        let now = self.clock();
+        let mut kept = Vec::new();
+        for (id, row) in rows {
+            let ctx = EvalContext {
+                columns,
+                row,
+                params,
+                now,
+            };
+            if eval_predicate(pred, &ctx)? {
+                kept.push((id, row));
+            }
+        }
+        Ok(kept)
+    }
+
+    /// Row ids in `table` matching the optional predicate, reached by the
+    /// shared chooser's probe or scan.
     pub fn matching_row_ids(
         &self,
         table: &str,
@@ -657,66 +746,17 @@ impl Inner {
         params: &HashMap<String, Value>,
         stats: &Stats,
     ) -> Result<Vec<RowId>> {
-        let bound = match where_ {
-            Some(e) => {
-                let resolved = self.resolve_subqueries(e, params, stats)?;
-                Some(resolved.bind_params(params)?)
-            }
+        let resolved = match where_ {
+            Some(e) => Some(self.resolve_subqueries(e, params, stats)?),
             None => None,
         };
         let t = self.table(table)?;
-        let col_names: Vec<String> = t.schema.columns.iter().map(|c| c.name.clone()).collect();
-        // Access-path selection goes through the shared chooser (cached on
-        // the pre-bind predicate text), so execution and `explain` decide
-        // identically. The probe value itself comes from the *bound*
-        // predicate; if it cannot be extracted (or the cached index is
-        // gone), fall back defensively to a scan.
-        let path = match where_ {
-            Some(orig) => self.cached_access_path(t, orig, stats),
-            None => AccessPath::FullScan,
-        };
-        let via_index: Option<Vec<RowId>> = match (&path, &bound) {
-            (AccessPath::IndexProbe { index, column }, Some(pred)) => {
-                pred.equality_constant(column).and_then(|v| {
-                    t.indexes
-                        .iter()
-                        .find(|ix| ix.name.eq_ignore_ascii_case(index))
-                        .map(|ix| ix.lookup(&v).to_vec())
-                })
-            }
-            _ => None,
-        };
-        let candidates: Vec<RowId> = match via_index {
-            Some(ids) => {
-                stats.bump(&stats.index_probes, 1);
-                ids
-            }
-            None => {
-                stats.bump(&stats.table_scans, 1);
-                t.row_ids()
-            }
-        };
-        let mut out = Vec::new();
-        for id in candidates {
-            let row = t.get(id).expect("candidate ids are live");
-            let keep = match &bound {
-                Some(pred) => {
-                    let ctx = EvalContext {
-                        columns: &col_names,
-                        row,
-                        params,
-                        now: self.clock(),
-                    };
-                    eval_predicate(pred, &ctx)?
-                }
-                None => true,
-            };
-            if keep {
-                out.push(id);
-            }
-        }
-        stats.bump(&stats.rows_read, out.len() as u64);
-        Ok(out)
+        let columns = column_names(t, None);
+        let pred = where_.zip(resolved.as_ref());
+        let (_, ids) = self.candidates(t, None, &columns, pred, params, stats)?;
+        let rows = self.filter(live(t, &ids), &columns, resolved.as_ref(), params)?;
+        stats.bump(&stats.rows_read, rows.len() as u64);
+        Ok(rows.into_iter().map(|(id, _)| id).collect())
     }
 
     // ---- UPDATE ------------------------------------------------------------
@@ -1051,126 +1091,83 @@ impl Inner {
             Some(p) => Some(self.resolve_subqueries(p, params, stats)?),
             None => None,
         };
+        // The FROM table is reached by the path its own WHERE conjuncts
+        // choose (the same cached decision `explain` reports). Conjuncts
+        // on joined tables are never pushed down: the full WHERE filters
+        // the joined rows, which keeps LEFT JOIN semantics.
         let access_started = Instant::now();
-        // Build the joined relation: qualified column names + rows. A
-        // join-free SELECT asks the shared access-path chooser (the same
-        // cached decision `explain` reports) whether the WHERE clause pins
-        // an indexed column; if so only the probe's candidates are
-        // materialized. The full predicate still runs below, so a probe
-        // never changes results — only how many rows it touches.
-        let (mut col_names, mut rows) = if sel.joins.is_empty() {
-            let t = self.table(&sel.from)?;
-            let prefix = sel.from_alias.as_deref().unwrap_or(&t.schema.name);
-            let cols: Vec<String> = t
-                .schema
-                .columns
-                .iter()
-                .map(|c| format!("{prefix}.{}", c.name))
-                .collect();
-            let path = match &sel.where_ {
-                Some(orig) => self.cached_access_path(t, orig, stats),
-                None => AccessPath::FullScan,
-            };
-            let probe: Option<Vec<crate::storage::RowId>> = match &path {
-                AccessPath::IndexProbe { index, column } => resolved_where.as_ref().and_then(|p| {
-                    p.bind_params(params)
-                        .ok()
-                        .and_then(|bound| bound.equality_constant(column))
-                        .and_then(|v| {
-                            t.indexes
-                                .iter()
-                                .find(|ix| ix.name.eq_ignore_ascii_case(index))
-                                .map(|ix| ix.lookup(&v).to_vec())
-                        })
-                }),
-                AccessPath::FullScan => None,
-            };
-            let probe_used = probe.is_some();
-            let rows: Vec<Row> = match probe {
-                Some(ids) => {
-                    stats.bump(&stats.index_probes, 1);
-                    ids.into_iter()
-                        .map(|id| t.get(id).expect("index ids are live").clone())
-                        .collect()
-                }
-                None => {
-                    stats.bump(&stats.table_scans, 1);
-                    t.iter().map(|(_, r)| r.clone()).collect()
-                }
-            };
-            let (op, detail) = match (&path, probe_used) {
-                (AccessPath::IndexProbe { index, .. }, true) => {
-                    ("probe", format!("{} via {}", sel.from, index))
-                }
-                _ => ("scan", sel.from.clone()),
-            };
-            note(&mut profile, op, detail, rows.len() as u64, access_started);
-            (cols, rows)
-        } else {
-            let base = self.base_relation(&sel.from, sel.from_alias.as_deref())?;
-            stats.bump(&stats.table_scans, 1);
-            note(
-                &mut profile,
-                "scan",
-                sel.from.clone(),
-                base.1.len() as u64,
-                access_started,
-            );
-            base
+        let t = self.table(&sel.from)?;
+        let qualifier = sel.from_alias.as_deref().unwrap_or(&t.schema.name);
+        let mut columns = column_names(t, Some(qualifier));
+        let pred = sel.where_.as_ref().zip(resolved_where.as_ref());
+        let (path, ids) = self.candidates(t, Some(qualifier), &columns, pred, params, stats)?;
+        let via = |i: usize| format!("{} via {}", sel.from, t.indexes[i].name);
+        let (op, detail) = match path {
+            Path::Scan => ("scan", sel.from.clone()),
+            Path::Point(i) => ("probe", via(i)),
+            Path::Range(i) => ("range", via(i)),
         };
-        for join in &sel.joins {
+        note(&mut profile, op, detail, ids.len() as u64, access_started);
+        let mut joined: Vec<Row> = Vec::new();
+        for (n, join) in sel.joins.iter().enumerate() {
             let join_started = Instant::now();
-            let (jc, jr) = self.base_relation(&join.table, join.alias.as_deref())?;
-            (col_names, rows) =
-                self.join_relations(col_names, rows, jc, jr, join, params, stats)?;
-            note(
-                &mut profile,
-                "join",
-                join.table.clone(),
-                rows.len() as u64,
-                join_started,
-            );
+            let outer: Vec<&Row> = if n == 0 {
+                live(t, &ids).into_iter().map(|(_, row)| row).collect()
+            } else {
+                joined.iter().collect()
+            };
+            let (op, detail, rows) = self.join(&outer, &mut columns, join, params, stats)?;
+            note(&mut profile, op, detail, rows.len() as u64, join_started);
+            joined = rows;
         }
-        // Filter.
         let filter_started = Instant::now();
-        let had_filter = resolved_where.is_some();
-        let mut filtered = Vec::new();
-        if let Some(pred) = &resolved_where {
-            for row in rows {
-                let ctx = EvalContext {
-                    columns: &col_names,
-                    row: &row,
-                    params,
-                    now: self.clock(),
-                };
-                if eval_predicate(pred, &ctx)? {
-                    filtered.push(row);
-                }
-            }
+        let rows = if sel.joins.is_empty() {
+            live(t, &ids)
         } else {
-            filtered = rows;
-        }
-        stats.bump(&stats.rows_read, filtered.len() as u64);
-        if had_filter {
+            joined.iter().enumerate().collect()
+        };
+        let rows: Vec<&Row> = self
+            .filter(rows, &columns, resolved_where.as_ref(), params)?
+            .into_iter()
+            .map(|(_, row)| row)
+            .collect();
+        if resolved_where.is_some() {
             note(
                 &mut profile,
                 "filter",
                 "where".to_string(),
-                filtered.len() as u64,
+                rows.len() as u64,
                 filter_started,
             );
         }
 
-        let project_started = Instant::now();
         let has_aggregates = sel
             .projections
             .iter()
             .any(|p| matches!(p, Projection::Aggregate { .. }));
         let aggregated = has_aggregates || !sel.group_by.is_empty();
-        let mut result = if aggregated {
-            self.project_aggregate(sel, &col_names, filtered, params)?
+        let rows = if aggregated {
+            rows
         } else {
-            self.project_plain(sel, &col_names, filtered, params)?
+            let order_started = Instant::now();
+            let rows = self.order_rows(sel, &columns, rows, params)?;
+            if let (Some(k), false) = (rows_kept(sel), sel.order_by.is_empty()) {
+                note(
+                    &mut profile,
+                    "top-k",
+                    format!("first {k} by order"),
+                    rows.len() as u64,
+                    order_started,
+                );
+            }
+            rows
+        };
+        stats.bump(&stats.rows_read, rows.len() as u64);
+        let project_started = Instant::now();
+        let mut result = if aggregated {
+            self.project_aggregate(sel, &columns, rows, params)?
+        } else {
+            self.project_plain(sel, &columns, &rows, params)?
         };
         note(
             &mut profile,
@@ -1226,138 +1223,150 @@ impl Inner {
         Ok(result)
     }
 
-    fn base_relation(&self, table: &str, alias: Option<&str>) -> Result<(Vec<String>, Vec<Row>)> {
-        let t = self.table(table)?;
-        let prefix = alias.unwrap_or(&t.schema.name);
-        let cols: Vec<String> = t
-            .schema
-            .columns
-            .iter()
-            .map(|c| format!("{prefix}.{}", c.name))
-            .collect();
-        let rows: Vec<Row> = t.iter().map(|(_, r)| r.clone()).collect();
-        Ok((cols, rows))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn join_relations(
+    /// Joins each outer row (over `columns`) with the rows of `join.table`
+    /// that satisfy `ON`, along the path [`choose_join`] picks: an index
+    /// join probes the inner column's index once per outer row, a hash
+    /// join first builds the same key map over the inner rows, a nested
+    /// loop tries them all. Both probing joins follow the key rule, and
+    /// `ON` filters every candidate. LEFT JOIN pads an unmatched outer row
+    /// with NULLs. Extends `columns` with the joined table's, and returns
+    /// the operator, its detail and the joined rows.
+    fn join(
         &self,
-        left_cols: Vec<String>,
-        left_rows: Vec<Row>,
-        right_cols: Vec<String>,
-        right_rows: Vec<Row>,
+        outer: &[&Row],
+        columns: &mut Vec<String>,
         join: &Join,
         params: &HashMap<String, Value>,
         stats: &Stats,
-    ) -> Result<(Vec<String>, Vec<Row>)> {
-        let mut cols = left_cols.clone();
-        cols.extend(right_cols.iter().cloned());
-        // Detect equi-join `l = r` to build a hash join.
-        let equi = detect_equi_join(&join.on, &left_cols, &right_cols);
-        let mut out = Vec::new();
-        match equi {
-            Some((lpos, rpos)) => {
-                stats.bump(&stats.index_probes, 1);
-                let mut hash: HashMap<String, Vec<usize>> = HashMap::new();
-                for (i, r) in right_rows.iter().enumerate() {
-                    if !r[rpos].is_null() {
-                        hash.entry(r[rpos].to_sql_literal()).or_default().push(i);
-                    }
-                }
-                for l in &left_rows {
-                    let mut matched = false;
-                    if !l[lpos].is_null() {
-                        if let Some(idxs) = hash.get(&l[lpos].to_sql_literal()) {
-                            for &i in idxs {
-                                let mut row = l.clone();
-                                row.extend(right_rows[i].iter().cloned());
-                                // Re-check the full ON expr in case it has extra conjuncts.
-                                let ctx = EvalContext {
-                                    columns: &cols,
-                                    row: &row,
-                                    params,
-                                    now: self.clock(),
-                                };
-                                if eval_predicate(&join.on, &ctx)? {
-                                    out.push(row);
-                                    matched = true;
-                                }
-                            }
-                        }
-                    }
-                    if !matched && join.kind == JoinKind::Left {
-                        let mut row = l.clone();
-                        row.extend(std::iter::repeat_n(Value::Null, right_cols.len()));
-                        out.push(row);
-                    }
-                }
+    ) -> Result<(&'static str, String, Vec<Row>)> {
+        let t = self.table(&join.table)?;
+        let qualifier = join.alias.as_deref().unwrap_or(&t.schema.name);
+        let inner_columns = column_names(t, Some(qualifier));
+        let path = choose_join(&join.on, columns, &inner_columns, t);
+        columns.extend(inner_columns);
+        let built;
+        let (keyed, op, detail) = match path {
+            JoinPath::Index { outer, index } => {
+                let ix = &t.indexes[index];
+                let detail = format!("{} via {}", join.table, ix.name);
+                (Some((outer, ix)), "index join", detail)
             }
-            None => {
+            JoinPath::Hash { outer, inner } => {
                 stats.bump(&stats.table_scans, 1);
-                for l in &left_rows {
-                    let mut matched = false;
-                    for r in &right_rows {
-                        let mut row = l.clone();
-                        row.extend(r.iter().cloned());
-                        let ctx = EvalContext {
-                            columns: &cols,
-                            row: &row,
-                            params,
-                            now: self.clock(),
-                        };
-                        if eval_predicate(&join.on, &ctx)? {
-                            out.push(row);
-                            matched = true;
-                        }
-                    }
-                    if !matched && join.kind == JoinKind::Left {
-                        let mut row = l.clone();
-                        row.extend(std::iter::repeat_n(Value::Null, right_cols.len()));
-                        out.push(row);
-                    }
-                }
+                built = Index::over(t, inner);
+                let detail = format!("{} on {}", join.table, t.schema.columns[inner].name);
+                (Some((outer, &built)), "hash join", detail)
             }
-        }
-        Ok((cols, out))
-    }
-
-    fn project_plain(
-        &self,
-        sel: &SelectStmt,
-        col_names: &[String],
-        mut rows: Vec<Row>,
-        params: &HashMap<String, Value>,
-    ) -> Result<QueryResult> {
-        // ORDER BY evaluates against the pre-projection relation.
-        if !sel.order_by.is_empty() {
-            let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
-            for row in rows {
+            JoinPath::NestedLoop => {
+                stats.bump(&stats.table_scans, 1);
+                (None, "nested loop", join.table.clone())
+            }
+        };
+        let every_row = match keyed {
+            Some(_) => Vec::new(),
+            None => t.row_ids(),
+        };
+        let now = self.clock();
+        let mut out = Vec::new();
+        for &l in outer {
+            let candidates: &[RowId] = match keyed {
+                Some((at, ix)) => match probe_key(&l[at], t.schema.columns[ix.column].ty) {
+                    Some(key) if !key.is_null() => {
+                        if let JoinPath::Index { .. } = path {
+                            stats.bump(&stats.index_probes, 1);
+                        }
+                        ix.lookup(&key)
+                    }
+                    _ => &[],
+                },
+                None => &every_row,
+            };
+            let mut matched = false;
+            for &id in candidates {
+                let mut row = Vec::with_capacity(columns.len());
+                row.extend_from_slice(l);
+                row.extend_from_slice(t.get(id).expect("candidate ids are live"));
                 let ctx = EvalContext {
-                    columns: col_names,
+                    columns,
                     row: &row,
                     params,
-                    now: self.clock(),
+                    now,
+                };
+                if eval_predicate(&join.on, &ctx)? {
+                    out.push(row);
+                    matched = true;
+                }
+            }
+            if !matched && join.kind == JoinKind::Left {
+                let mut row = l.clone();
+                row.resize(columns.len(), Value::Null);
+                out.push(row);
+            }
+        }
+        Ok((op, detail, out))
+    }
+
+    /// Puts rows in ORDER BY order, ties in the order they came. When
+    /// [`rows_kept`] bounds the result to the first m+n rows, only those
+    /// stay, picked before any full sort or projection: exactly the rows a
+    /// stable full sort would keep there.
+    fn order_rows<'r>(
+        &self,
+        sel: &SelectStmt,
+        columns: &[String],
+        mut rows: Vec<&'r Row>,
+        params: &HashMap<String, Value>,
+    ) -> Result<Vec<&'r Row>> {
+        let keep = rows_kept(sel);
+        if sel.order_by.is_empty() {
+            if let Some(k) = keep {
+                rows.truncate(k);
+            }
+            return Ok(rows);
+        }
+        let now = self.clock();
+        let mut keyed = rows
+            .into_iter()
+            .enumerate()
+            .map(|(at, row)| {
+                let ctx = EvalContext {
+                    columns,
+                    row,
+                    params,
+                    now,
                 };
                 let keys = sel
                     .order_by
                     .iter()
                     .map(|k| eval(&k.expr, &ctx))
                     .collect::<Result<Vec<_>>>()?;
-                keyed.push((keys, row));
+                Ok((keys, at, row))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        // The arrival position breaks ties, so the unstable sorts below
+        // order exactly as a stable sort would.
+        let cmp = |a: &(Vec<Value>, usize, &'r Row), b: &(Vec<Value>, usize, &'r Row)| {
+            compare_keys(&sel.order_by, &a.0, &b.0).then(a.1.cmp(&b.1))
+        };
+        if let Some(k) = keep.filter(|&k| k < keyed.len()) {
+            if k == 0 {
+                keyed.clear();
+            } else {
+                keyed.select_nth_unstable_by(k - 1, cmp);
+                keyed.truncate(k);
             }
-            keyed.sort_by(|(ka, _), (kb, _)| {
-                for (i, key) in sel.order_by.iter().enumerate() {
-                    let ord = ka[i].total_cmp(&kb[i]);
-                    let ord = if key.desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            rows = keyed.into_iter().map(|(_, r)| r).collect();
         }
-        // Projection.
+        keyed.sort_unstable_by(cmp);
+        Ok(keyed.into_iter().map(|(_, _, row)| row).collect())
+    }
+
+    fn project_plain(
+        &self,
+        sel: &SelectStmt,
+        col_names: &[String],
+        rows: &[&Row],
+        params: &HashMap<String, Value>,
+    ) -> Result<QueryResult> {
         let mut out_cols: Vec<String> = Vec::new();
         for p in &sel.projections {
             match p {
@@ -1368,13 +1377,14 @@ impl Inner {
                 Projection::Aggregate { .. } => unreachable!("aggregate handled elsewhere"),
             }
         }
+        let now = self.clock();
         let mut out_rows = Vec::with_capacity(rows.len());
-        for row in rows {
+        for &row in rows {
             let ctx = EvalContext {
                 columns: col_names,
-                row: &row,
+                row,
                 params,
-                now: self.clock(),
+                now,
             };
             let mut out = Vec::with_capacity(out_cols.len());
             for p in &sel.projections {
@@ -1397,16 +1407,16 @@ impl Inner {
         &self,
         sel: &SelectStmt,
         col_names: &[String],
-        rows: Vec<Row>,
+        rows: Vec<&Row>,
         params: &HashMap<String, Value>,
     ) -> Result<QueryResult> {
         // Group rows by the GROUP BY key (empty key = one global group).
-        let mut groups: Vec<(Vec<Value>, Vec<Row>)> = Vec::new();
+        let mut groups: Vec<(Vec<Value>, Vec<&Row>)> = Vec::new();
         let mut group_index: HashMap<String, usize> = HashMap::new();
         for row in rows {
             let ctx = EvalContext {
                 columns: col_names,
-                row: &row,
+                row,
                 params,
                 now: self.clock(),
             };
@@ -1533,16 +1543,7 @@ impl Inner {
                     .collect::<Result<Vec<_>>>()?;
                 keyed.push((keys, row));
             }
-            keyed.sort_by(|(ka, _), (kb, _)| {
-                for (i, key) in sel.order_by.iter().enumerate() {
-                    let ord = ka[i].total_cmp(&kb[i]);
-                    let ord = if key.desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
+            keyed.sort_by(|(ka, _), (kb, _)| compare_keys(&sel.order_by, ka, kb));
             out_rows = keyed.into_iter().map(|(_, r)| r).collect();
         }
         Ok(QueryResult {
@@ -1559,7 +1560,7 @@ impl Inner {
         arg: Option<&Expr>,
         distinct: bool,
         col_names: &[String],
-        rows: &[Row],
+        rows: &[&Row],
         params: &HashMap<String, Value>,
     ) -> Result<Value> {
         let mut values = Vec::new();
@@ -1734,52 +1735,32 @@ fn rows_matching<'t>(t: &'t Table, col: usize, key: &Value, stats: &Stats) -> Co
     }
 }
 
-/// If `on` is (or conjoins) `left_col = right_col` with one side from each
-/// relation, returns the two column positions.
-pub(crate) fn detect_equi_join(
-    on: &Expr,
-    left_cols: &[String],
-    right_cols: &[String],
-) -> Option<(usize, usize)> {
-    fn find(cols: &[String], table: Option<&str>, name: &str) -> Option<usize> {
-        cols.iter().position(|c| match table {
-            Some(t) => c.eq_ignore_ascii_case(&format!("{t}.{name}")),
-            None => c
-                .rsplit('.')
-                .next()
-                .is_some_and(|s| s.eq_ignore_ascii_case(name)),
-        })
-    }
-    match on {
-        Expr::Binary {
-            op: BinOp::Eq,
-            lhs,
-            rhs,
-        } => {
-            let (lt, ln) = match lhs.as_ref() {
-                Expr::Column { table, name } => (table.as_deref(), name.as_str()),
-                _ => return None,
-            };
-            let (rt, rn) = match rhs.as_ref() {
-                Expr::Column { table, name } => (table.as_deref(), name.as_str()),
-                _ => return None,
-            };
-            if let (Some(l), Some(r)) = (find(left_cols, lt, ln), find(right_cols, rt, rn)) {
-                return Some((l, r));
-            }
-            if let (Some(l), Some(r)) = (find(left_cols, rt, rn), find(right_cols, lt, ln)) {
-                return Some((l, r));
-            }
-            None
-        }
-        Expr::Binary {
-            op: BinOp::And,
-            lhs,
-            rhs,
-        } => detect_equi_join(lhs, left_cols, right_cols)
-            .or_else(|| detect_equi_join(rhs, left_cols, right_cols)),
+/// The live rows at `ids`, paired with their ids.
+fn live<'t>(t: &'t Table, ids: &[RowId]) -> Vec<(RowId, &'t Row)> {
+    ids.iter()
+        .map(|&id| (id, t.get(id).expect("candidate ids are live")))
+        .collect()
+}
+
+/// The rows `LIMIT n [OFFSET m]` can return from a SELECT without
+/// DISTINCT, GROUP BY or aggregates: the first m+n in order.
+fn rows_kept(sel: &SelectStmt) -> Option<usize> {
+    match sel.limit {
+        Some(n) if !sel.distinct => Some(n.saturating_add(sel.offset.unwrap_or(0))),
         _ => None,
     }
+}
+
+/// Orders two ORDER BY key tuples.
+fn compare_keys(order_by: &[OrderKey], a: &[Value], b: &[Value]) -> Ordering {
+    for (i, key) in order_by.iter().enumerate() {
+        let ord = a[i].total_cmp(&b[i]);
+        let ord = if key.desc { ord.reverse() } else { ord };
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    Ordering::Equal
 }
 
 #[cfg(test)]

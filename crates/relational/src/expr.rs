@@ -317,45 +317,6 @@ impl Expr {
             },
         })
     }
-
-    /// If this expression is a conjunction containing `column = <literal>`,
-    /// returns that literal; for `column IS NULL`, returns NULL (indexes
-    /// store NULL keys). Used for index selection.
-    pub fn equality_constant(&self, column: &str) -> Option<Value> {
-        match self {
-            Expr::IsNull {
-                expr,
-                negated: false,
-            } => match expr.as_ref() {
-                Expr::Column { name, .. } if name.eq_ignore_ascii_case(column) => Some(Value::Null),
-                _ => None,
-            },
-            Expr::Binary {
-                op: BinOp::Eq,
-                lhs,
-                rhs,
-            } => {
-                let (col, lit) = match (lhs.as_ref(), rhs.as_ref()) {
-                    (Expr::Column { name, .. }, Expr::Literal(v)) => (name, v),
-                    (Expr::Literal(v), Expr::Column { name, .. }) => (name, v),
-                    _ => return None,
-                };
-                if col.eq_ignore_ascii_case(column) {
-                    Some(lit.clone())
-                } else {
-                    None
-                }
-            }
-            Expr::Binary {
-                op: BinOp::And,
-                lhs,
-                rhs,
-            } => lhs
-                .equality_constant(column)
-                .or_else(|| rhs.equality_constant(column)),
-            _ => None,
-        }
-    }
 }
 
 /// The context an expression is evaluated against: column-name → value plus
@@ -373,30 +334,34 @@ pub struct EvalContext<'a> {
 
 impl<'a> EvalContext<'a> {
     fn lookup(&self, table: Option<&str>, name: &str) -> Result<Value> {
-        // Qualified lookups match "table.column" entries; unqualified match
-        // either the bare name or any qualified suffix.
-        for (i, c) in self.columns.iter().enumerate() {
-            let matched = match table {
-                Some(t) => {
-                    let want = format!("{t}.{name}");
-                    c.eq_ignore_ascii_case(&want)
-                }
-                None => {
-                    c.eq_ignore_ascii_case(name)
-                        || c.rsplit('.')
-                            .next()
-                            .is_some_and(|s| s.eq_ignore_ascii_case(name))
-                }
-            };
-            if matched {
-                return Ok(self.row[i].clone());
-            }
+        match column_position(self.columns, table, name) {
+            Some(i) => Ok(self.row[i].clone()),
+            None => Err(Error::NoSuchColumn {
+                table: table.unwrap_or("<row>").to_string(),
+                column: name.to_string(),
+            }),
         }
-        Err(Error::NoSuchColumn {
-            table: table.unwrap_or("<row>").to_string(),
-            column: name.to_string(),
-        })
     }
+}
+
+/// The position a column reference resolves to in `columns`, the rule
+/// every row evaluation uses: the first column named `table.name`, or for
+/// an unqualified `name` the first whose last dotted part is `name`
+/// (ASCII case-insensitive). A join's columns list the FROM table first,
+/// so an unqualified name that table has resolves to it.
+pub(crate) fn column_position(
+    columns: &[String],
+    table: Option<&str>,
+    name: &str,
+) -> Option<usize> {
+    columns.iter().position(|c| {
+        let (prefix, column) = match c.rsplit_once('.') {
+            Some((prefix, column)) => (Some(prefix), column),
+            None => (None, c.as_str()),
+        };
+        column.eq_ignore_ascii_case(name)
+            && table.is_none_or(|t| prefix.is_some_and(|p| p.eq_ignore_ascii_case(t)))
+    })
 }
 
 /// Evaluates `expr` against `ctx`, producing a [`Value`] (possibly NULL).
@@ -1005,19 +970,6 @@ mod tests {
         assert_eq!(eval(&e, &c).unwrap(), Value::Bool(true));
         let missing = crate::parser::parse_expr("$NOPE").unwrap();
         assert!(matches!(eval(&missing, &c), Err(Error::UnboundParam(_))));
-    }
-
-    #[test]
-    fn equality_constant_extraction() {
-        let e = crate::parser::parse_expr("x = 5 AND y > 2").unwrap();
-        assert_eq!(e.equality_constant("x"), Some(Value::Int(5)));
-        assert_eq!(e.equality_constant("y"), None);
-        let flipped = crate::parser::parse_expr("5 = x").unwrap();
-        assert_eq!(flipped.equality_constant("X"), Some(Value::Int(5)));
-        let null = crate::parser::parse_expr("y > 2 AND x IS NULL").unwrap();
-        assert_eq!(null.equality_constant("x"), Some(Value::Null));
-        let not_null = crate::parser::parse_expr("x IS NOT NULL").unwrap();
-        assert_eq!(not_null.equality_constant("x"), None);
     }
 
     #[test]

@@ -1,18 +1,22 @@
 //! Query-plan introspection (`EXPLAIN`-style, without executing).
 //!
 //! [`Database::explain`] describes how the engine would execute a
-//! statement: which access path serves the WHERE clause (index probe vs.
-//! full scan), which join strategy each JOIN uses (hash equi-join vs.
-//! nested loop), and how aggregation/ordering/limits apply. Useful when
-//! writing disguise predicates: a disguise over an unindexed column turns
-//! every per-row operation into a scan.
+//! statement, one line per table it reads: the path that reaches the
+//! statement's own table (index probe, index range or full scan) and the
+//! way each joined table is matched (index join, hash join or nested
+//! loop), then how aggregation/ordering/limits apply. Each line names the
+//! decision the shared chooser ([`crate::access`]) hands the executor, so
+//! it is the operator `EXPLAIN ANALYZE` reports for that table. Useful
+//! when writing disguise predicates: a disguise over an unindexed column
+//! turns every per-row operation into a scan.
 
-use crate::access::AccessPath;
+use crate::access::{choose_join, column_names, JoinPath, Path};
 use crate::database::Database;
 use crate::error::Result;
-use crate::exec::detect_equi_join;
+use crate::exec::Inner;
 use crate::expr::Expr;
 use crate::parser::{parse_statement, Projection, SelectStmt, Statement};
+use crate::storage::Table;
 
 impl Database {
     /// Describes the execution plan for `sql` without running it.
@@ -21,13 +25,16 @@ impl Database {
         let mut out = String::new();
         match &stmt {
             Statement::Select(sel) => self.explain_select(sel, &mut out)?,
-            Statement::Update { table, where_, .. } => {
-                out.push_str("UPDATE\n");
-                self.explain_access(table, where_.as_ref(), &mut out)?;
-            }
-            Statement::Delete { table, where_ } => {
-                out.push_str("DELETE\n");
-                self.explain_access(table, where_.as_ref(), &mut out)?;
+            Statement::Update { table, where_, .. } | Statement::Delete { table, where_ } => {
+                let verb = if matches!(stmt, Statement::Update { .. }) {
+                    "UPDATE"
+                } else {
+                    "DELETE"
+                };
+                out.push_str(&format!("{verb}\n"));
+                let inner = self.inner_read();
+                let t = inner.table(table)?;
+                self.explain_access(&inner, t, table, None, where_.as_ref(), &mut out);
             }
             Statement::Insert { table, rows, .. } => {
                 out.push_str(&format!("INSERT into {table}: {} row(s)\n", rows.len()));
@@ -64,22 +71,43 @@ impl Database {
 
     fn explain_select(&self, sel: &SelectStmt, out: &mut String) -> Result<()> {
         out.push_str("SELECT\n");
-        self.explain_access(&sel.from, sel.where_.as_ref(), out)?;
-        // Joins: report strategy per join, tracking accumulated columns the
-        // way execution does.
-        let mut left_cols = qualified_columns(self, &sel.from, sel.from_alias.as_deref())?;
+        let inner = self.inner_read();
+        let t = inner.table(&sel.from)?;
+        let mut columns = self.explain_access(
+            &inner,
+            t,
+            &label(&sel.from, sel.from_alias.as_deref()),
+            Some(sel.from_alias.as_deref().unwrap_or(&t.schema.name)),
+            sel.where_.as_ref(),
+            out,
+        );
         for join in &sel.joins {
-            let right_cols = qualified_columns(self, &join.table, join.alias.as_deref())?;
-            let strategy = if detect_equi_join(&join.on, &left_cols, &right_cols).is_some() {
-                "hash equi-join"
-            } else {
-                "nested-loop join"
+            let t = inner.table(&join.table)?;
+            let qualifier = join.alias.as_deref().unwrap_or(&t.schema.name);
+            let inner_columns = column_names(t, Some(qualifier));
+            let strategy = match choose_join(&join.on, &columns, &inner_columns, t) {
+                JoinPath::Index { index, .. } => {
+                    let ix = &t.indexes[index];
+                    format!(
+                        "index join on {}.{} via {}",
+                        t.schema.name, t.schema.columns[ix.column].name, ix.name
+                    )
+                }
+                JoinPath::Hash { inner, .. } => {
+                    format!(
+                        "hash join on {}.{}",
+                        t.schema.name, t.schema.columns[inner].name
+                    )
+                }
+                JoinPath::NestedLoop => "nested-loop join".to_string(),
             };
             out.push_str(&format!(
-                "  {:?} join {}: {strategy} on {}\n",
-                join.kind, join.table, join.on
+                "  {:?} join {}: {strategy}, on {}\n",
+                join.kind,
+                label(&join.table, join.alias.as_deref()),
+                join.on
             ));
-            left_cols.extend(right_cols);
+            columns.extend(inner_columns);
         }
         let has_aggregates = sel
             .projections
@@ -110,38 +138,51 @@ impl Database {
         Ok(())
     }
 
-    /// Describes the access path for one table + optional predicate, asking
-    /// the same shared (cached) chooser the executor uses — `explain` and
-    /// execution cannot disagree on probe vs. scan.
-    fn explain_access(&self, table: &str, where_: Option<&Expr>, out: &mut String) -> Result<()> {
-        let schema = self.schema(table)?;
-        let rows = self.row_count(table)?;
-        match where_ {
-            None => {
-                out.push_str(&format!("  {table}: full scan ({rows} rows)\n"));
-            }
-            Some(pred) => match self.access_path(table, Some(pred))? {
-                AccessPath::IndexProbe { column, .. } => out.push_str(&format!(
-                    "  {table}: index probe on {}.{column}, then filter: {pred}\n",
-                    schema.name
-                )),
-                AccessPath::FullScan => out.push_str(&format!(
-                    "  {table}: full scan ({rows} rows), filter: {pred}\n"
-                )),
-            },
-        }
-        Ok(())
+    /// Describes the path that reaches `t` (named `name` in the
+    /// statement) under `where_`, asking the same shared (cached) chooser
+    /// the executor uses, and returns the names the statement's columns
+    /// carry: qualified by `qualifier` in a SELECT, bare (`None`) in an
+    /// UPDATE or DELETE.
+    fn explain_access(
+        &self,
+        inner: &Inner,
+        t: &Table,
+        name: &str,
+        qualifier: Option<&str>,
+        where_: Option<&Expr>,
+        out: &mut String,
+    ) -> Vec<String> {
+        let columns = column_names(t, qualifier);
+        let rows = t.len();
+        let Some(pred) = where_ else {
+            out.push_str(&format!("  {name}: full scan ({rows} rows)\n"));
+            return columns;
+        };
+        let path = inner.cached_access_path(t, qualifier, &columns, pred, &self.stats);
+        let column = |i: usize| &t.schema.columns[t.indexes[i].column].name;
+        out.push_str(&match path {
+            Path::Point(i) => format!(
+                "  {name}: index probe on {}.{}, then filter: {pred}\n",
+                t.schema.name,
+                column(i)
+            ),
+            Path::Range(i) => format!(
+                "  {name}: index range on {}.{}, then filter: {pred}\n",
+                t.schema.name,
+                column(i)
+            ),
+            Path::Scan => format!("  {name}: full scan ({rows} rows), filter: {pred}\n"),
+        });
+        columns
     }
 }
 
-fn qualified_columns(db: &Database, table: &str, alias: Option<&str>) -> Result<Vec<String>> {
-    let schema = db.schema(table)?;
-    let prefix = alias.unwrap_or(&schema.name).to_string();
-    Ok(schema
-        .columns
-        .iter()
-        .map(|c| format!("{prefix}.{}", c.name))
-        .collect())
+/// The table as a statement names it: with its alias, if it has one.
+fn label(table: &str, alias: Option<&str>) -> String {
+    match alias {
+        Some(alias) => format!("{table} {alias}"),
+        None => table.to_string(),
+    }
 }
 
 #[cfg(test)]
@@ -183,10 +224,14 @@ mod tests {
     #[test]
     fn join_strategy_detection() {
         let db = db();
-        let hash = db
+        let index = db
             .explain("SELECT * FROM users u INNER JOIN posts p ON p.user_id = u.id")
             .unwrap();
-        assert!(hash.contains("hash equi-join"), "{hash}");
+        assert!(index.contains("index join on posts.user_id"), "{index}");
+        let hash = db
+            .explain("SELECT * FROM posts p INNER JOIN users u ON u.name = p.body")
+            .unwrap();
+        assert!(hash.contains("hash join on users.name"), "{hash}");
         let nested = db
             .explain("SELECT * FROM users u INNER JOIN posts p ON p.user_id > u.id")
             .unwrap();

@@ -3,10 +3,12 @@
 //! A [`Table`] is a slot map of rows: deleting a row frees its slot for
 //! reuse, and row ids ([`RowId`]) are slot indexes that stay stable for the
 //! lifetime of the row. Indexes ([`Index`]) map a column value (under the
-//! total order of [`Value::total_cmp`]) to the row ids holding it.
+//! total order of [`Value::total_cmp`]) to the row ids holding it, in slot
+//! order: a probe yields rows in the order a scan would visit them.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use crate::error::{Error, Result};
 use crate::schema::TableSchema;
@@ -43,7 +45,7 @@ pub struct Index {
     pub column: usize,
     /// Whether the index enforces uniqueness (NULLs exempt, as in SQL).
     pub unique: bool,
-    /// Key → row ids holding that key.
+    /// Key → row ids holding that key, ascending.
     pub map: BTreeMap<IndexKey, Vec<RowId>>,
 }
 
@@ -58,7 +60,16 @@ impl Index {
         }
     }
 
-    /// Row ids whose indexed column equals `key`.
+    /// An index over `column` of `table`'s live rows.
+    pub fn over(table: &Table, column: usize) -> Index {
+        let mut ix = Index::new("", column, false);
+        for (id, row) in table.iter() {
+            ix.insert(row[column].clone(), id);
+        }
+        ix
+    }
+
+    /// Row ids whose indexed column equals `key`, in slot order.
     pub fn lookup(&self, key: &Value) -> &[RowId] {
         self.map
             .get(&IndexKey(key.clone()))
@@ -66,14 +77,45 @@ impl Index {
             .unwrap_or(&[])
     }
 
+    /// Row ids whose non-NULL key lies between `lo` and `hi`, in slot
+    /// order. An empty or inverted range yields nothing.
+    pub fn range(&self, lo: Bound<Value>, hi: Bound<Value>) -> Vec<RowId> {
+        let lo = match lo {
+            Bound::Unbounded => Bound::Excluded(IndexKey(Value::Null)),
+            bound => bound.map(IndexKey),
+        };
+        let hi = hi.map(IndexKey);
+        if let (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) =
+            (&lo, &hi)
+        {
+            let both_included = matches!((&lo, &hi), (Bound::Included(_), Bound::Included(_)));
+            match a.cmp(b) {
+                Ordering::Greater => return Vec::new(),
+                Ordering::Equal if !both_included => return Vec::new(),
+                _ => {}
+            }
+        }
+        let mut ids: Vec<RowId> = self
+            .map
+            .range((lo, hi))
+            .flat_map(|(_, ids)| ids.iter().copied())
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
     fn insert(&mut self, key: Value, row_id: RowId) {
-        self.map.entry(IndexKey(key)).or_default().push(row_id);
+        let ids = self.map.entry(IndexKey(key)).or_default();
+        let at = ids.partition_point(|&id| id < row_id);
+        ids.insert(at, row_id);
     }
 
     fn remove(&mut self, key: &Value, row_id: RowId) {
         let k = IndexKey(key.clone());
         if let Some(ids) = self.map.get_mut(&k) {
-            ids.retain(|&id| id != row_id);
+            if let Ok(at) = ids.binary_search(&row_id) {
+                ids.remove(at);
+            }
             if ids.is_empty() {
                 self.map.remove(&k);
             }

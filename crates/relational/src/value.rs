@@ -171,8 +171,16 @@ impl Value {
     /// A *total* order over all values, used for index keys and ORDER BY.
     ///
     /// NULL sorts first, then booleans, numbers (ints and floats mixed),
-    /// text, and bytes. NaN sorts after all other floats.
+    /// text, and bytes. NaN sorts after all other floats, and -0.0 equals
+    /// 0.0, as `=` has them, so an index finds both zeros for either.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
+        fn numbers(a: f64, b: f64) -> Ordering {
+            if a == b {
+                Ordering::Equal
+            } else {
+                a.total_cmp(&b)
+            }
+        }
         fn rank(v: &Value) -> u8 {
             match v {
                 Value::Null => 0,
@@ -190,9 +198,9 @@ impl Value {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.total_cmp(&(*b as f64)),
+            (Value::Float(a), Value::Float(b)) => numbers(*a, *b),
+            (Value::Int(a), Value::Float(b)) => numbers(*a as f64, *b),
+            (Value::Float(a), Value::Int(b)) => numbers(*a, *b as f64),
             (Value::Text(a), Value::Text(b)) => a.cmp(b),
             (Value::Bytes(a), Value::Bytes(b)) => a.cmp(b),
             _ => Ordering::Equal,

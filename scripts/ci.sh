@@ -42,6 +42,16 @@ trap 'rm -rf "$CHECK_DIR"' EXIT
 target/release/edna demo "$CHECK_DIR/hotcrp" hotcrp --scale 0.02
 target/release/edna check "$CHECK_DIR/hotcrp" --all --deny-warnings
 target/release/edna demo "$CHECK_DIR/lobsters" lobsters
+# A comment thread reaches every table it reads through an index: its
+# comments by the story's key, each author by a primary-key probe.
+target/release/edna explain "$CHECK_DIR/lobsters" \
+    "SELECT c.id, c.comment, c.score, u.username FROM comments c \
+     JOIN users u ON c.user_id = u.id WHERE c.story_id = 1 ORDER BY c.id" \
+    | tee "$CHECK_DIR/thread.plan"
+if grep -q "full scan" "$CHECK_DIR/thread.plan"; then
+    echo "the comment thread's plan scans a table" >&2
+    exit 1
+fi
 target/release/edna check "$CHECK_DIR/lobsters" --all --deny-warnings
 # The intentionally flawed example spec must be rejected.
 if target/release/edna check "$CHECK_DIR/hotcrp" examples/flawed_scrub.edna; then
