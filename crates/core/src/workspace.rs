@@ -141,15 +141,11 @@ fn resolve_snapshot_tmp(path: &Path) -> Result<bool> {
     if !tmp.exists() {
         return Ok(false);
     }
-    if !path.exists() {
-        if let Ok(bytes) = std::fs::read(&tmp) {
-            if snapshot::decode_checked(&bytes).is_ok() {
-                std::fs::rename(&tmp, path)
-                    .map_err(|e| ws_err(format!("cannot promote {}: {e}", tmp.display())))?;
-                fsync_parent(path);
-                return Ok(true);
-            }
-        }
+    if !path.exists() && snapshot::load(&tmp).is_ok() {
+        std::fs::rename(&tmp, path)
+            .map_err(|e| ws_err(format!("cannot promote {}: {e}", tmp.display())))?;
+        fsync_parent(path);
+        return Ok(true);
     }
     std::fs::remove_file(&tmp)
         .map_err(|e| ws_err(format!("cannot sweep stale {}: {e}", tmp.display())))?;

@@ -44,6 +44,7 @@ use crate::expr::Expr;
 use crate::parser::{parse_script, parse_statement, Statement};
 use crate::schema::TableSchema;
 use crate::stats::{LatencyModel, Stats, StatsSnapshot};
+use crate::storage::Table;
 use crate::txn::Txn;
 use crate::value::{Row, Value};
 use crate::wal::{self, OpenIntent, RecoveryReport, ReplayOutcome, Wal, WalRecord};
@@ -1365,8 +1366,8 @@ impl Database {
             .collect())
     }
 
-    /// Extracts serializable images of every table, in creation order
-    /// (used by [`crate::snapshot`]).
+    /// Copies an image of every table, in creation order, for inspecting
+    /// what a snapshot holds.
     pub fn snapshot_tables(&self) -> Result<Vec<crate::snapshot::TableSnapshot>> {
         let inner = self.inner_read();
         Ok(inner
@@ -1376,28 +1377,23 @@ impl Database {
             .collect())
     }
 
-    /// Encodes the snapshot image straight from the live tables under one
-    /// read guard, with `watermark` as its WAL checkpoint position (used by
-    /// [`crate::snapshot::encode`]).
-    pub(crate) fn encode_snapshot(&self, watermark: u64) -> Vec<u8> {
-        crate::snapshot::encode_inner(&self.inner_read(), watermark)
-    }
-
-    /// Rebuilds a database from table images (used by [`crate::snapshot`]).
-    /// Rows are assumed internally consistent; constraints are *not*
-    /// re-checked row by row, but indexes are rebuilt and row slot ids are
-    /// preserved (the WAL addresses rows by id).
-    pub fn from_snapshots(snapshots: Vec<crate::snapshot::TableSnapshot>) -> Result<Database> {
+    /// Builds a database from tables decoded one at a time, in creation
+    /// order (used by [`crate::snapshot`]): each goes into the engine as
+    /// soon as it is decoded, so a load never holds them all aside. Rows
+    /// are assumed internally consistent; constraints are *not* re-checked
+    /// row by row, but indexes are rebuilt and row slot ids are preserved
+    /// (the WAL addresses rows by id).
+    pub(crate) fn from_tables(tables: impl Iterator<Item = Result<Table>>) -> Result<Database> {
         let db = Database::new();
         {
             let mut inner = db.inner_write();
-            for snap in snapshots {
-                snap.schema.validate()?;
-                let key = snap.schema.name.to_lowercase();
+            for table in tables {
+                let table = table?;
+                let key = table.schema.name.to_lowercase();
                 if inner.tables.contains_key(&key) {
-                    return Err(Error::AlreadyExists(snap.schema.name.clone()));
+                    return Err(Error::AlreadyExists(table.schema.name.clone()));
                 }
-                inner.tables.insert(key.clone(), snap.into_table()?);
+                inner.tables.insert(key.clone(), table);
                 inner.table_order.push(key);
             }
         }
@@ -1415,8 +1411,7 @@ impl Database {
         let Some(w) = self.wal() else {
             let inner = self.inner_read();
             let _saving = lock_unpoisoned(&self.saving);
-            let data = crate::snapshot::encode_inner(&inner, 0);
-            return crate::snapshot::write_atomic(&data, path.as_ref());
+            return crate::snapshot::write_file(&inner, 0, path.as_ref());
         };
         // The database is Arc-shared and writable from other threads, so
         // hold the engine lock across encode → rename → truncate: a
@@ -1444,8 +1439,7 @@ impl Database {
                 continue;
             }
             let _saving = lock_unpoisoned(&self.saving);
-            let data = crate::snapshot::encode_inner(&inner, w.last_lsn());
-            crate::snapshot::write_atomic(&data, path.as_ref())?;
+            crate::snapshot::write_file(&inner, w.last_lsn(), path.as_ref())?;
             w.truncate()?;
             drop(inner);
             return Ok(());
@@ -1577,6 +1571,58 @@ mod tests {
                 Value::Text("bea".into()),
                 Value::Int(0)
             ]]
+        );
+    }
+
+    #[test]
+    fn rolling_back_a_large_delete_restores_rows_indexes_and_free_slots() {
+        let build = || {
+            let db = Database::new();
+            db.execute_script(
+                "CREATE TABLE votes (id INT PRIMARY KEY AUTO_INCREMENT, user_id INT, \
+                 story_id INT);
+                 CREATE INDEX votes_by_story ON votes (story_id);",
+            )
+            .unwrap();
+            for batch in 0..12 {
+                let values: Vec<String> = (0..500)
+                    .map(|i| format!("({}, {})", (batch * 500 + i) % 50, i % 40))
+                    .collect();
+                db.execute(&format!(
+                    "INSERT INTO votes (user_id, story_id) VALUES {}",
+                    values.join(", ")
+                ))
+                .unwrap();
+            }
+            // Free slots in two passes, so the free list is not in slot
+            // order.
+            db.execute("DELETE FROM votes WHERE id % 11 = 5").unwrap();
+            db.execute("DELETE FROM votes WHERE id % 7 = 3").unwrap();
+            db
+        };
+        let indexes = |db: &Database| format!("{:?}", db.inner_read().tables["votes"].indexes);
+        let db = build();
+        let twin = build();
+        let rows_before = db.snapshot_tables().unwrap().remove(0).rows;
+        let indexes_before = indexes(&db);
+        let mut deleted = 0;
+        let rolled_back = db.transaction(|db| {
+            deleted = db.execute("DELETE FROM votes WHERE user_id > 2")?.affected;
+            Err::<(), _>(Error::Eval("roll back".into()))
+        });
+        assert!(rolled_back.is_err());
+        assert!(deleted > 4000, "only {deleted} rows deleted");
+        assert_eq!(db.snapshot_tables().unwrap().remove(0).rows, rows_before);
+        assert_eq!(indexes(&db), indexes_before);
+        // The free list came back in its own order: the next inserts take
+        // the slots they take in a twin that never deleted.
+        for d in [&db, &twin] {
+            d.execute("INSERT INTO votes (user_id, story_id) VALUES (1, 1), (2, 2), (3, 3)")
+                .unwrap();
+        }
+        assert_eq!(
+            db.snapshot_tables().unwrap()[0].rows,
+            twin.snapshot_tables().unwrap()[0].rows
         );
     }
 
@@ -2418,7 +2464,7 @@ mod obs_tests {
         // Delete the highest row: a naive max(id)+1 reconstruction would
         // hand out 3 again.
         d.execute("DELETE FROM t WHERE id = 3").unwrap();
-        let restored = Database::from_snapshots(d.snapshot_tables().unwrap()).unwrap();
+        let restored = crate::snapshot::decode(&crate::snapshot::encode(&d).unwrap()).unwrap();
         let r = restored.execute("INSERT INTO t (v) VALUES ('d')").unwrap();
         assert_eq!(r.last_insert_id, Some(4), "snapshot must persist next_auto");
     }

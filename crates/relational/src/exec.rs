@@ -483,7 +483,7 @@ impl Inner {
         // keep-ahead bump for explicit values — logs an
         // `UndoOp::AutoIncrement` carrying the prior value, and rollback
         // restores it (see `rollback_to`). Snapshots persist `next_auto`
-        // and restore it verbatim (`Database::from_snapshots`). MySQL
+        // and restore it verbatim (`snapshot::decode_table`). MySQL
         // instead lets rolled-back transactions burn ids; we choose full
         // restore so a rolled-back disguise leaves the database
         // bit-identical, which the fault-injection suite asserts.

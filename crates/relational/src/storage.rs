@@ -4,9 +4,12 @@
 //! reuse, and row ids ([`RowId`]) are slot indexes that stay stable for the
 //! lifetime of the row. Indexes ([`Index`]) map a column value (under the
 //! total order of [`Value::total_cmp`]) to the row ids holding it, in slot
-//! order: a probe yields rows in the order a scan would visit them.
+//! order: a probe yields rows in the order a scan would visit them. A key
+//! held by one row keeps that id inline; only a key shared by two or more
+//! rows owns a list.
 
 use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -36,6 +39,58 @@ impl Ord for IndexKey {
     }
 }
 
+/// The row ids holding one index key, ascending. Every primary-key and
+/// unique entry, and most foreign-key ones, belong to a single row, so
+/// that id is stored inline; a list is allocated only for a key two or
+/// more rows share, and shrinks back to inline when one row is left.
+#[derive(Debug, Clone)]
+enum Postings {
+    One(RowId),
+    Many(Vec<RowId>),
+}
+
+impl Postings {
+    fn as_slice(&self) -> &[RowId] {
+        match self {
+            Postings::One(id) => std::slice::from_ref(id),
+            Postings::Many(ids) => ids,
+        }
+    }
+
+    fn insert(&mut self, row_id: RowId) {
+        match self {
+            Postings::One(id) => {
+                let id = *id;
+                *self = Postings::Many(if id < row_id {
+                    vec![id, row_id]
+                } else {
+                    vec![row_id, id]
+                });
+            }
+            Postings::Many(ids) => {
+                let at = ids.partition_point(|&id| id < row_id);
+                ids.insert(at, row_id);
+            }
+        }
+    }
+
+    /// Removes `row_id`; true when no row holds the key any more.
+    fn remove(&mut self, row_id: RowId) -> bool {
+        match self {
+            Postings::One(id) => *id == row_id,
+            Postings::Many(ids) => {
+                if let Ok(at) = ids.binary_search(&row_id) {
+                    ids.remove(at);
+                }
+                if let [id] = ids[..] {
+                    *self = Postings::One(id);
+                }
+                false
+            }
+        }
+    }
+}
+
 /// A single-column secondary index.
 #[derive(Debug, Clone)]
 pub struct Index {
@@ -45,8 +100,8 @@ pub struct Index {
     pub column: usize,
     /// Whether the index enforces uniqueness (NULLs exempt, as in SQL).
     pub unique: bool,
-    /// Key → row ids holding that key, ascending.
-    pub map: BTreeMap<IndexKey, Vec<RowId>>,
+    /// Key → row ids holding that key.
+    map: BTreeMap<IndexKey, Postings>,
 }
 
 impl Index {
@@ -73,7 +128,7 @@ impl Index {
     pub fn lookup(&self, key: &Value) -> &[RowId] {
         self.map
             .get(&IndexKey(key.clone()))
-            .map(Vec::as_slice)
+            .map(Postings::as_slice)
             .unwrap_or(&[])
     }
 
@@ -98,26 +153,25 @@ impl Index {
         let mut ids: Vec<RowId> = self
             .map
             .range((lo, hi))
-            .flat_map(|(_, ids)| ids.iter().copied())
+            .flat_map(|(_, ids)| ids.as_slice().iter().copied())
             .collect();
         ids.sort_unstable();
         ids
     }
 
     fn insert(&mut self, key: Value, row_id: RowId) {
-        let ids = self.map.entry(IndexKey(key)).or_default();
-        let at = ids.partition_point(|&id| id < row_id);
-        ids.insert(at, row_id);
+        match self.map.entry(IndexKey(key)) {
+            Entry::Vacant(e) => {
+                e.insert(Postings::One(row_id));
+            }
+            Entry::Occupied(mut e) => e.get_mut().insert(row_id),
+        }
     }
 
     fn remove(&mut self, key: &Value, row_id: RowId) {
-        let k = IndexKey(key.clone());
-        if let Some(ids) = self.map.get_mut(&k) {
-            if let Ok(at) = ids.binary_search(&row_id) {
-                ids.remove(at);
-            }
-            if ids.is_empty() {
-                self.map.remove(&k);
+        if let Entry::Occupied(mut e) = self.map.entry(IndexKey(key.clone())) {
+            if e.get_mut().remove(row_id) {
+                e.remove();
             }
         }
     }
@@ -189,13 +243,35 @@ impl Table {
         self.rows.len()
     }
 
-    /// Extends the slot array with free slots up to `total` (no-op if the
-    /// table already has that many). Used when rebuilding from a snapshot
-    /// so the freed tail keeps its ids instead of being compacted away.
-    pub fn reserve_slots(&mut self, total: usize) {
-        while self.rows.len() < total {
-            self.free.push(self.rows.len());
-            self.rows.push(None);
+    /// Puts `row` in slot `id` while the table is built from an image:
+    /// ids arrive ascending, and the slots skipped stay empty.
+    /// [`Table::finish_load`] then indexes the rows and frees the empty
+    /// slots, each in one pass.
+    pub(crate) fn load_row(&mut self, id: RowId, row: Row) {
+        debug_assert!(id >= self.rows.len(), "rows load in ascending slot order");
+        self.rows.resize_with(id, || None);
+        self.rows.push(Some(row));
+        self.live += 1;
+    }
+
+    /// Ends a load: pads the slot array with empty slots up to `total`, so
+    /// a freed tail keeps its ids instead of being compacted away, indexes
+    /// every row, and lists every empty slot as free, ascending, so the
+    /// next insert takes the highest. Indexing after the rows keeps a
+    /// table's rows together in memory, as a scan visits them.
+    pub(crate) fn finish_load(&mut self, total: usize) {
+        if self.rows.len() < total {
+            self.rows.resize_with(total, || None);
+        }
+        for (id, slot) in self.rows.iter().enumerate() {
+            match slot {
+                Some(row) => {
+                    for ix in &mut self.indexes {
+                        ix.insert(row[ix.column].clone(), id);
+                    }
+                }
+                None => self.free.push(id),
+            }
         }
     }
 
@@ -275,7 +351,7 @@ impl Table {
         id
     }
 
-    /// Re-inserts a row at a specific slot (used by transaction undo),
+    /// Re-inserts a row at a specific slot (transaction undo and WAL replay),
     /// panicking in debug builds if the slot is occupied.
     pub fn restore_at(&mut self, id: RowId, row: Row) {
         while self.rows.len() <= id {
@@ -283,7 +359,13 @@ impl Table {
             self.rows.push(None);
         }
         debug_assert!(self.rows[id].is_none(), "restore into occupied slot");
-        self.free.retain(|&f| f != id);
+        // Undo restores the most recently freed slot first, so a search
+        // from the end of the list finds it at once. WAL replay over a
+        // reloaded table can name any free slot; removing it keeps the
+        // others in order.
+        if let Some(at) = self.free.iter().rposition(|&f| f == id) {
+            self.free.remove(at);
+        }
         for ix in &mut self.indexes {
             ix.insert(row[ix.column].clone(), id);
         }
@@ -420,6 +502,62 @@ mod tests {
         let b = t.insert_unchecked(vec![Value::Int(2), Value::Null]);
         assert_ne!(a, b);
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn restore_finds_a_free_slot_that_is_not_the_last() {
+        // Undo restores the last freed slot first; WAL replay over a
+        // reloaded table may name any free slot, and the others must keep
+        // their order.
+        let mut t = table();
+        let ids: Vec<RowId> = (0..4)
+            .map(|i| t.insert_unchecked(vec![Value::Int(i), Value::Null]))
+            .collect();
+        for &id in &ids[..3] {
+            t.remove(id);
+        }
+        t.restore_at(ids[0], vec![Value::Int(0), Value::Null]);
+        assert_eq!(t.free, [ids[1], ids[2]]);
+        t.restore_at(ids[2], vec![Value::Int(2), Value::Null]);
+        assert_eq!(t.free, [ids[1]]);
+        assert_eq!(t.index_on(0).unwrap().lookup(&Value::Int(2)), &[ids[2]]);
+        assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn a_key_held_by_one_row_keeps_its_id_inline() {
+        let mut t = table();
+        t.add_index("by_name".into(), 1, false).unwrap();
+        let ids: Vec<RowId> = (0..1000)
+            .map(|i| t.insert_unchecked(vec![Value::Int(i), Value::Text(format!("n{}", i % 10))]))
+            .collect();
+        let pk = t.index_on(0).unwrap();
+        assert_eq!(pk.map.len(), 1000);
+        assert!(
+            pk.map.values().all(|p| matches!(p, Postings::One(_))),
+            "a unique index over n rows holds no list"
+        );
+        let by_name = t.index_on(1).unwrap();
+        assert!(by_name
+            .map
+            .values()
+            .all(|p| matches!(p, Postings::Many(ids) if ids.len() == 100)));
+        // A shared key drops back to inline when one row is left, and
+        // goes when none is.
+        let name = Value::Text("n3".into());
+        let holders = t.index_on(1).unwrap().lookup(&name).to_vec();
+        for &id in &holders[1..] {
+            t.remove(id);
+        }
+        let ix = t.index_on(1).unwrap();
+        assert!(matches!(
+            ix.map.get(&IndexKey(name.clone())),
+            Some(Postings::One(id)) if *id == holders[0]
+        ));
+        t.remove(holders[0]);
+        assert!(t.index_on(1).unwrap().lookup(&name).is_empty());
+        assert_eq!(t.index_on(1).unwrap().map.len(), 9);
+        assert_eq!(t.index_on(0).unwrap().lookup(&Value::Int(7)), &[ids[7]]);
     }
 
     #[test]

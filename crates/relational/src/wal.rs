@@ -77,8 +77,8 @@ use edna_util::sync::{lock_unpoisoned, read_unpoisoned, write_unpoisoned};
 
 use crate::error::{Error, Result};
 use crate::exec::Inner;
-use crate::snapshot::{self, Reader, TableSnapshot, Writer};
-use crate::storage::RowId;
+use crate::snapshot::{self, Reader, Writer};
+use crate::storage::{RowId, Table};
 use crate::txn::{Txn, UndoOp};
 use crate::value::{Row, Value};
 
@@ -102,11 +102,11 @@ pub enum RedoOp {
     /// Clear slot `row_id` of `table`.
     Delete { table: String, row_id: RowId },
     /// (Re)create a table from its full image.
-    CreateTable { image: TableSnapshot },
+    CreateTable { image: Table },
     /// Drop a table.
     DropTable { name: String },
     /// Replace a table wholesale with its post-alter image.
-    AlterTable { name: String, image: TableSnapshot },
+    AlterTable { name: String, image: Table },
     /// Create a secondary index.
     CreateIndex {
         table: String,
@@ -1277,7 +1277,7 @@ fn encode_op(w: &mut Writer, op: &RedoOp) {
         }
         RedoOp::CreateTable { image } => {
             w.u8(3);
-            image.encode(w);
+            snapshot::encode_table(w, image);
         }
         RedoOp::DropTable { name } => {
             w.u8(4);
@@ -1286,7 +1286,7 @@ fn encode_op(w: &mut Writer, op: &RedoOp) {
         RedoOp::AlterTable { name, image } => {
             w.u8(5);
             w.string(name);
-            image.encode(w);
+            snapshot::encode_table(w, image);
         }
         RedoOp::CreateIndex {
             table,
@@ -1320,13 +1320,15 @@ pub fn decode_frame_body(body: &[u8]) -> Result<(u64, WalRecord)> {
 }
 
 fn decode_body(body: &[u8]) -> Result<(u64, WalRecord)> {
-    let mut r = Reader::new(body);
+    let mut r = Reader::of(body);
     let bad = |m: &str| Error::Wal(format!("corrupt WAL record: {m}"));
     let lsn = r.u64().map_err(|e| bad(&e.to_string()))?;
     let kind = r.u8().map_err(|e| bad(&e.to_string()))?;
     let record = match kind {
         KIND_TXN => {
-            let n = r.u32().map_err(|e| bad(&e.to_string()))? as usize;
+            // The shortest op, `DropTable` of an empty name, takes five
+            // bytes: its tag and the name's length.
+            let n = r.count(5).map_err(|e| bad(&e.to_string()))?;
             let mut ops = Vec::with_capacity(n);
             for _ in 0..n {
                 ops.push(decode_op(&mut r).map_err(|e| bad(&e.to_string()))?);
@@ -1358,26 +1360,18 @@ fn decode_body(body: &[u8]) -> Result<(u64, WalRecord)> {
     Ok((lsn, record))
 }
 
-fn decode_op(r: &mut Reader<'_>) -> Result<RedoOp> {
+fn decode_op(r: &mut Reader<&[u8]>) -> Result<RedoOp> {
     Ok(match r.u8()? {
         0 => {
             let table = r.string()?;
             let row_id = r.u64()? as RowId;
-            let n = r.u32()? as usize;
-            let mut row = Vec::with_capacity(n);
-            for _ in 0..n {
-                row.push(r.value()?);
-            }
+            let row = decode_row(r)?;
             RedoOp::Insert { table, row_id, row }
         }
         1 => {
             let table = r.string()?;
             let row_id = r.u64()? as RowId;
-            let n = r.u32()? as usize;
-            let mut row = Vec::with_capacity(n);
-            for _ in 0..n {
-                row.push(r.value()?);
-            }
+            let row = decode_row(r)?;
             RedoOp::Update { table, row_id, row }
         }
         2 => RedoOp::Delete {
@@ -1407,6 +1401,16 @@ fn decode_op(r: &mut Reader<'_>) -> Result<RedoOp> {
     })
 }
 
+fn decode_row(r: &mut Reader<&[u8]>) -> Result<Row> {
+    // A value takes at least its tag byte.
+    let n = r.count(1)?;
+    let mut row = Vec::with_capacity(n);
+    for _ in 0..n {
+        row.push(r.value()?);
+    }
+    Ok(row)
+}
+
 // ---- undo → redo conversion -------------------------------------------------
 
 /// Converts a committing transaction's undo log into redo operations.
@@ -1426,37 +1430,33 @@ pub(crate) fn redo_from_txn(inner: &Inner, txn: &Txn) -> Result<Vec<RedoOp>> {
     // After-images discovered so far while walking backwards. Keys are
     // lowercase table names; a `None` image means "absent at that point".
     let mut row_after: HashMap<(String, RowId), Option<Row>> = HashMap::new();
-    let mut table_after: HashMap<String, Option<TableSnapshot>> = HashMap::new();
+    let mut table_after: HashMap<String, Option<Table>> = HashMap::new();
     let mut auto_after: HashMap<String, i64> = HashMap::new();
     let mut rev = Vec::with_capacity(txn.undo.len());
 
+    // The image of `table` just after the op being visited.
+    fn table_at<'a>(
+        inner: &'a Inner,
+        table_after: &'a HashMap<String, Option<Table>>,
+        key: &str,
+    ) -> Option<&'a Table> {
+        match table_after.get(key) {
+            Some(img) => img.as_ref(),
+            None => inner.tables.get(key),
+        }
+    }
     // The image of `table`.`id` just after the op being visited.
     let row_at = |row_after: &HashMap<(String, RowId), Option<Row>>,
-                  table_after: &HashMap<String, Option<TableSnapshot>>,
+                  table_after: &HashMap<String, Option<Table>>,
                   key: &str,
                   id: RowId|
      -> Option<Row> {
         if let Some(img) = row_after.get(&(key.to_string(), id)) {
             return img.clone();
         }
-        if let Some(timg) = table_after.get(key) {
-            return timg.as_ref().and_then(|t| {
-                t.rows
-                    .iter()
-                    .find(|(rid, _)| *rid == id)
-                    .map(|(_, r)| r.clone())
-            });
-        }
-        inner.tables.get(key).and_then(|t| t.get(id)).cloned()
-    };
-    // The image of `table` just after the op being visited.
-    let table_at = |table_after: &HashMap<String, Option<TableSnapshot>>,
-                    key: &str|
-     -> Option<TableSnapshot> {
-        if let Some(img) = table_after.get(key) {
-            return img.clone();
-        }
-        inner.tables.get(key).map(TableSnapshot::of)
+        table_at(inner, table_after, key)
+            .and_then(|t| t.get(id))
+            .cloned()
     };
 
     for op in txn.undo.iter().rev() {
@@ -1497,51 +1497,49 @@ pub(crate) fn redo_from_txn(inner: &Inner, txn: &Txn) -> Result<Vec<RedoOp>> {
             }
             UndoOp::CreatedTable { name } => {
                 let key = name.to_lowercase();
-                let image = table_at(&table_after, &key).ok_or_else(|| {
-                    Error::Wal(format!("no after-image for created table {name}"))
-                })?;
+                let image = table_at(inner, &table_after, &key)
+                    .cloned()
+                    .ok_or_else(|| {
+                        Error::Wal(format!("no after-image for created table {name}"))
+                    })?;
                 rev.push(RedoOp::CreateTable { image });
                 table_after.insert(key, None);
             }
             UndoOp::DroppedTable { name, table } => {
                 let key = name.to_lowercase();
                 rev.push(RedoOp::DropTable { name: key.clone() });
-                table_after.insert(key, Some(TableSnapshot::of(table)));
+                table_after.insert(key, Some((**table).clone()));
             }
             UndoOp::AlteredTable { name, table } => {
                 let key = name.to_lowercase();
-                let image = table_at(&table_after, &key).ok_or_else(|| {
-                    Error::Wal(format!("no after-image for altered table {name}"))
-                })?;
+                let image = table_at(inner, &table_after, &key)
+                    .cloned()
+                    .ok_or_else(|| {
+                        Error::Wal(format!("no after-image for altered table {name}"))
+                    })?;
                 rev.push(RedoOp::AlterTable {
                     name: key.clone(),
                     image,
                 });
-                table_after.insert(key, Some(TableSnapshot::of(table)));
+                table_after.insert(key, Some((**table).clone()));
             }
             UndoOp::CreatedIndex { table, index } => {
                 let key = table.to_lowercase();
-                let timg = table_at(&table_after, &key).ok_or_else(|| {
+                let timg = table_at(inner, &table_after, &key).ok_or_else(|| {
                     Error::Wal(format!("no table image for index {index} on {table}"))
                 })?;
                 // The index definition as it existed just after creation.
-                let full = inner.tables.get(&key);
-                let (column, unique) = timg
-                    .indexes
-                    .iter()
-                    .find(|(n, _, _)| n.eq_ignore_ascii_case(index))
-                    .map(|(_, c, u)| (c.clone(), *u))
-                    .or_else(|| {
-                        full.and_then(|t| {
-                            t.indexes
-                                .iter()
-                                .find(|ix| ix.name.eq_ignore_ascii_case(index))
-                                .map(|ix| (t.schema.columns[ix.column].name.clone(), ix.unique))
-                        })
-                    })
+                let def = |t: &Table| {
+                    t.indexes
+                        .iter()
+                        .find(|ix| ix.name.eq_ignore_ascii_case(index))
+                        .map(|ix| (t.schema.columns[ix.column].name.clone(), ix.unique))
+                };
+                let (column, unique) = def(timg)
+                    .or_else(|| inner.tables.get(&key).and_then(def))
                     .ok_or_else(|| {
-                        Error::Wal(format!("created index {index} not found on {table}"))
-                    })?;
+                    Error::Wal(format!("created index {index} not found on {table}"))
+                })?;
                 rev.push(RedoOp::CreateIndex {
                     table: key,
                     name: index.clone(),
@@ -1602,8 +1600,7 @@ pub(crate) fn apply_op(inner: &mut Inner, op: &RedoOp) -> Result<()> {
         }
         RedoOp::CreateTable { image } => {
             let key = image.schema.name.to_lowercase();
-            let table = image.clone().into_table()?;
-            if inner.tables.insert(key.clone(), table).is_none() {
+            if inner.tables.insert(key.clone(), image.clone()).is_none() {
                 inner.table_order.push(key);
             }
         }
@@ -1615,9 +1612,12 @@ pub(crate) fn apply_op(inner: &mut Inner, op: &RedoOp) -> Result<()> {
         RedoOp::AlterTable { name, image } => {
             let old_key = name.to_lowercase();
             let new_key = image.schema.name.to_lowercase();
-            let table = image.clone().into_table()?;
             inner.tables.remove(&old_key);
-            if inner.tables.insert(new_key.clone(), table).is_none() {
+            if inner
+                .tables
+                .insert(new_key.clone(), image.clone())
+                .is_none()
+            {
                 match inner.table_order.iter().position(|k| k == &old_key) {
                     Some(pos) => inner.table_order[pos] = new_key,
                     None => inner.table_order.push(new_key),
@@ -1715,6 +1715,69 @@ mod tests {
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("edna_wal_{}_{name}", std::process::id()))
+    }
+
+    #[test]
+    fn oversized_counts_are_corrupt_not_allocated() {
+        let frame = |ops: &[u8], n: u32| {
+            let mut w = Writer::new();
+            w.u64(1);
+            w.u8(KIND_TXN);
+            w.u32(n);
+            w.raw(ops);
+            w.buf
+        };
+        // 13 bytes claiming 2^32 - 1 ops.
+        let body = frame(&[], u32::MAX);
+        assert_eq!(body.len(), 13);
+        let err = decode_frame_body(&body).unwrap_err().to_string();
+        assert!(err.contains("corrupt WAL record"), "got: {err}");
+        // An insert whose row claims 2^32 - 1 values.
+        let mut op = Writer::new();
+        op.u8(0);
+        op.string("t");
+        op.u64(0);
+        op.u32(u32::MAX);
+        assert!(decode_frame_body(&frame(&op.buf, 1)).is_err());
+        // A CreateTable image claiming 2^32 - 1 rows: an empty table's
+        // image ends with its row count.
+        let mut schema = crate::schema::TableSchema::new("t");
+        schema.columns.push(crate::schema::ColumnDef::new(
+            "id",
+            crate::value::DataType::Int,
+        ));
+        let mut op = Writer::new();
+        op.u8(3);
+        snapshot::encode_table(&mut op, &Table::new(schema));
+        let n = op.buf.len();
+        op.buf[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_frame_body(&frame(&op.buf, 1))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("corrupt"), "got: {err}");
+    }
+
+    #[test]
+    fn the_shortest_ops_still_decode() {
+        // `DROP TABLE` of a one-letter table takes six bytes, so a count
+        // bound that assumed more per op would reject a real frame.
+        let ops = vec![
+            RedoOp::DropTable { name: "a".into() },
+            RedoOp::DropTable { name: "b".into() },
+            RedoOp::DropTable {
+                name: String::new(),
+            },
+        ];
+        let body = encode_body(3, &WalRecord::Txn { ops });
+        let (_, rec) = decode_body(&body).unwrap();
+        let WalRecord::Txn { ops } = rec else {
+            panic!("wrong kind")
+        };
+        assert!(matches!(&ops[..], [
+            RedoOp::DropTable { name: a },
+            RedoOp::DropTable { name: b },
+            RedoOp::DropTable { name: empty },
+        ] if a == "a" && b == "b" && empty.is_empty()));
     }
 
     #[test]

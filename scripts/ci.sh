@@ -33,8 +33,27 @@ echo "==> wirebench mixed (reads beside applies, reveals, ticks, checkpoints)"
 # exercised against reads beside applies, reveals, policy ticks and
 # checkpoints. 15 s is about the shortest run whose samples support a
 # p50.
+#
+# The run's resident-set peak is gated as well. This seed reads about
+# 31.4 MB now that a checkpoint streams its image through a 64 KiB
+# buffer, an open decodes the file the same way, and an index key held
+# by one row keeps its id inline; it read about 44 MB when a checkpoint
+# built the whole image in one buffer and an open read the whole file.
+# 36 MB is about 15% above the current figure, so a whole-image or
+# whole-file buffer coming back fails here. The run's report is kept in
+# target/ (ignored by git), whose last line is its JSON summary.
+RSS_CEILING_MB=36
+MIXED_OUT=target/wirebench_mixed_seed1.txt
 cargo run --release --offline --quiet --manifest-path wirebench/Cargo.toml -- \
-    --workload mixed --seed 1 --seconds 15 --trace 0
+    --workload mixed --seed 1 --seconds 15 --trace 0 | tee "$MIXED_OUT"
+RSS_MB=$(tail -n 1 "$MIXED_OUT" \
+    | sed -n 's/.*"rss_peak_mb": {"value": \([0-9.]*\).*/\1/p')
+if ! awk -v rss="$RSS_MB" -v cap="$RSS_CEILING_MB" \
+    'BEGIN { exit !(rss != "" && rss + 0 <= cap + 0) }'; then
+    echo "wirebench mixed: rss_peak_mb ${RSS_MB:-missing} MB exceeds the ${RSS_CEILING_MB} MB ceiling" >&2
+    exit 1
+fi
+echo "wirebench mixed: rss_peak_mb ${RSS_MB} MB (ceiling ${RSS_CEILING_MB} MB)"
 
 echo "==> edna check (static analysis over every bundled spec)"
 CHECK_DIR=$(mktemp -d)
